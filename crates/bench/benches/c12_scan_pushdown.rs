@@ -4,13 +4,16 @@
 //!
 //! - **compression**: the cascading encoder (delta/FoR/bit-packing, ALP,
 //!   FSST, stackable on Dict/RLE) must produce blocks no larger than the
-//!   legacy Plain/Dict/RLE chooser on the C2 "typical rows" corpus —
-//!   pushdown must not be bought with a worse compression ratio.
+//!   retired flat Plain/Dict/RLE chooser did on the C2 "typical rows"
+//!   corpus — pushdown must not be bought with a worse compression
+//!   ratio. The corpus is fixed (20k rows, seed `0xC12`), so the flat
+//!   chooser's sizes are recorded constants ([`LEGACY_BYTES`]).
 //! - **scan**: on a highly selective predicate (≤1% of rows) over a
 //!   clustered multi-zone table, a pushed-down scan (zone-map
 //!   short-circuit, predicate evaluation over compressed chunks, late
-//!   materialization) must beat decode-then-filter by ≥2× wall-clock
-//!   while returning identical rows.
+//!   materialization) must beat decode-then-filter — reading the whole
+//!   table with `read_table` and filtering in the bench — by ≥2×
+//!   wall-clock while returning identical rows.
 //!
 //! Emits `BENCH_scan_pushdown.json` at the repo root. `VORTEX_BENCH_ITERS`
 //! overrides the scan-arm row count (CI smoke uses a small value; the
@@ -24,7 +27,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vortex::{Expr, OptimizerConfig, QueryEngine, ScanOptions, StorageOptimizer};
-use vortex_client::VortexClient;
+use vortex_client::{read_table, ReadOptions, VortexClient};
 use vortex_colossus::StorageFleet;
 use vortex_common::compress::compress;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId};
@@ -33,7 +36,7 @@ use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
-use vortex_ros::encoding::{encode_column, encode_column_legacy};
+use vortex_ros::encoding::encode_column;
 use vortex_ros::ZONE_ROWS;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::sms::{SmsConfig, SmsTask};
@@ -79,25 +82,37 @@ fn typed_corpus(n_rows: usize, seed: u64) -> Vec<(&'static str, Vec<Value>)> {
     ]
 }
 
+/// Per-column vsnap-compressed bytes of the retired flat Plain/Dict/RLE
+/// chooser on `typed_corpus(20_000, 0xC12)`, encoded per zone — the
+/// bound the cascade must not exceed (402,968 B in total).
+const LEGACY_BYTES: [(&str, usize); 5] = [
+    ("orderTimestamp", 138_667),
+    ("customerKey", 128_088),
+    ("currencyKey", 180),
+    ("quantity", 20_693),
+    ("unitPrice", 115_340),
+];
+
 struct ColumnSizes {
     name: &'static str,
     legacy: usize,
     cascade: usize,
 }
 
-/// Encodes each column zone-by-zone (as blocks store them) with both
-/// choosers and sums the vsnap-compressed sizes.
-fn compression_arm(n_rows: usize) -> Vec<ColumnSizes> {
+/// Encodes each column of the fixed corpus zone-by-zone (as blocks
+/// store them) and sums the vsnap-compressed sizes, next to the flat
+/// chooser's recorded sizes.
+fn compression_arm() -> Vec<ColumnSizes> {
     println!("--- cascading encoder vs legacy Plain/Dict/RLE (per-zone, vsnap) ---");
     let mut out = Vec::new();
-    for (name, values) in typed_corpus(n_rows, 0xC12) {
-        let (mut legacy, mut cascade) = (0usize, 0usize);
-        for zone in values.chunks(ZONE_ROWS) {
-            let (_, bytes) = encode_column_legacy(zone);
-            legacy += compress(&bytes).len();
-            let (_, bytes) = encode_column(zone);
-            cascade += compress(&bytes).len();
-        }
+    for ((name, values), (legacy_name, legacy)) in
+        typed_corpus(20_000, 0xC12).into_iter().zip(LEGACY_BYTES)
+    {
+        assert_eq!(name, legacy_name, "corpus columns out of step");
+        let cascade: usize = values
+            .chunks(ZONE_ROWS)
+            .map(|zone| compress(&encode_column(zone).1).len())
+            .sum();
         println!(
             "{name:>16} | legacy {legacy:>8} B | cascade {cascade:>8} B | {:>5.2}x",
             legacy as f64 / cascade.max(1) as f64
@@ -112,11 +127,13 @@ fn compression_arm(n_rows: usize) -> Vec<ColumnSizes> {
 }
 
 // ---------------------------------------------------------------------
-// Scan arm: pushdown on vs off over the same converted table.
+// Scan arm: pushed-down scan vs read-everything-then-filter over the
+// same converted table.
 // ---------------------------------------------------------------------
 
 struct ScanRig {
     sms: Arc<SmsTask>,
+    client: VortexClient,
     engine: QueryEngine,
 }
 
@@ -188,7 +205,14 @@ fn build_table(n: usize) -> (ScanRig, vortex_common::ids::TableId) {
     let s = w.stream_id();
     sms.finalize_stream(t.table, s).unwrap();
     opt.convert_wos(t.table).unwrap();
-    (ScanRig { sms, engine }, t.table)
+    (
+        ScanRig {
+            sms,
+            client,
+            engine,
+        },
+        t.table,
+    )
 }
 
 struct ScanPoint {
@@ -200,31 +224,65 @@ struct ScanPoint {
     zones_pruned: usize,
 }
 
-fn time_scan(rig: &ScanRig, t: vortex_common::ids::TableId, opts: &ScanOptions) -> ScanPoint {
-    let snap = rig.sms.read_snapshot();
+/// Median wall-clock of `SCAN_REPS` runs of `scan`, plus one untimed
+/// run's result.
+fn time_scan(arm: &'static str, scan: impl Fn() -> ScanPoint) -> ScanPoint {
     let mut times: Vec<u64> = (0..SCAN_REPS)
         .map(|_| {
             // lint:allow(L001, bench measures real scan wall-clock, not simulated time)
             let start = Instant::now();
-            let res = rig.engine.scan(t, snap, opts).unwrap();
-            let us = start.elapsed().as_micros() as u64;
-            std::hint::black_box(res);
-            us
+            std::hint::black_box(scan());
+            start.elapsed().as_micros() as u64
         })
         .collect();
     times.sort_unstable();
-    let res = rig.engine.scan(t, snap, opts).unwrap();
     ScanPoint {
-        arm: if opts.pushdown {
-            "pushdown"
-        } else {
-            "decode_filter"
-        },
+        arm,
         scan_us: times[times.len() / 2],
+        ..scan()
+    }
+}
+
+/// The pushed-down scan through the query engine.
+fn pushed_scan(rig: &ScanRig, t: vortex_common::ids::TableId, target: &str) -> ScanPoint {
+    let opts = ScanOptions {
+        predicate: Expr::eq("customer", Value::String(target.into())),
+        ..ScanOptions::default()
+    };
+    let res = rig.engine.scan(t, rig.sms.read_snapshot(), &opts).unwrap();
+    ScanPoint {
+        arm: "pushdown",
+        scan_us: 0,
         rows: res.rows.len(),
         rows_scanned: res.stats.rows_scanned,
         zones_total: res.stats.zones_total,
         zones_pruned: res.stats.zones_pruned,
+    }
+}
+
+/// The control: decode every row of the table, then filter in the bench.
+fn decode_filter_scan(rig: &ScanRig, t: vortex_common::ids::TableId, target: &str) -> ScanPoint {
+    let table = read_table(
+        rig.client.sms(),
+        rig.client.fleet(),
+        t,
+        rig.sms.read_snapshot(),
+        &ReadOptions::default(),
+    )
+    .unwrap();
+    let customer = table.schema.column_index("customer").unwrap();
+    let rows = table
+        .rows
+        .iter()
+        .filter(|(_, r)| r.values[customer].as_str() == Some(target))
+        .count();
+    ScanPoint {
+        arm: "decode_filter",
+        scan_us: 0,
+        rows,
+        rows_scanned: table.rows.len() as u64,
+        zones_total: 0,
+        zones_pruned: 0,
     }
 }
 
@@ -235,7 +293,7 @@ fn main() {
         .unwrap_or(40_000);
     println!("\n=== C12: compute pushdown over compressed ROS blocks ({n} rows) ===");
 
-    let sizes = compression_arm(20_000);
+    let sizes = compression_arm();
     let legacy_total: usize = sizes.iter().map(|s| s.legacy).sum();
     let cascade_total: usize = sizes.iter().map(|s| s.cascade).sum();
     println!(
@@ -252,23 +310,8 @@ fn main() {
     // match, and the group never straddles a zone boundary, so every
     // other zone is prunable at any table size.
     let target = format!("cust-{:05}", 0);
-    let pushed = time_scan(
-        &rig,
-        t,
-        &ScanOptions {
-            predicate: Expr::eq("customer", Value::String(target.clone())),
-            ..ScanOptions::default()
-        },
-    );
-    let decoded = time_scan(
-        &rig,
-        t,
-        &ScanOptions {
-            predicate: Expr::eq("customer", Value::String(target)),
-            pushdown: false,
-            ..ScanOptions::default()
-        },
-    );
+    let pushed = time_scan("pushdown", || pushed_scan(&rig, t, &target));
+    let decoded = time_scan("decode_filter", || decode_filter_scan(&rig, t, &target));
     assert_eq!(pushed.rows, GROUP, "pushdown returned wrong row count");
     assert_eq!(
         decoded.rows, GROUP,

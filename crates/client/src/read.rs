@@ -321,36 +321,6 @@ fn decode_fragment_bytes(
     }
 }
 
-/// Applies snapshot/flush/mask visibility to a decoded extent. `idx` in
-/// the decoded vector is the fragment-relative position masks address.
-fn filter_visible(
-    spec: &FragmentReadSpec,
-    decoded: &[(RowMeta, Row)],
-    snapshot: Timestamp,
-) -> Vec<(RowMeta, Row)> {
-    let mut out = Vec::new();
-    for (idx, (meta, row)) in decoded.iter().enumerate() {
-        // §7.1: stop at the snapshot timestamp (rows are in write order
-        // for WOS; for ROS every row predates the block's creation, so
-        // the check never triggers there).
-        if spec.meta.kind == vortex_sms::meta::FragmentKind::Wos && meta.ts > snapshot {
-            break;
-        }
-        if let Some(limit) = spec.visibility.flush_limit {
-            // Streamlet-relative row offset for WOS rows.
-            let streamlet_row = spec.meta.first_row + idx as u64;
-            if streamlet_row >= limit {
-                continue; // unflushed BUFFERED rows invisible
-            }
-        }
-        if spec.mask.contains(idx as u64) {
-            continue; // DML-deleted
-        }
-        out.push((*meta, row.clone()));
-    }
-    out
-}
-
 /// Reads one fragment (WOS or ROS) with replica failover.
 pub fn read_fragment(
     spec: &FragmentReadSpec,
@@ -369,19 +339,57 @@ pub fn read_fragment_cached(
     snapshot: Timestamp,
     cache: Option<&crate::cache::ReadCache>,
 ) -> VortexResult<Vec<(RowMeta, Row)>> {
+    read_visible(spec, fleet, key, snapshot, cache, |_, r| r.clone())
+}
+
+/// [`read_fragment`] that keeps each visible row's fragment-relative
+/// position — the coordinate deletion masks address (§7.3 DML).
+pub fn read_fragment_positions(
+    spec: &FragmentReadSpec,
+    fleet: &StorageFleet,
+    key: &vortex_common::crypt::Key,
+    snapshot: Timestamp,
+) -> VortexResult<Vec<(u64, Row)>> {
+    read_visible(spec, fleet, key, snapshot, None, |pos, (_, r)| {
+        (pos, r.clone())
+    })
+}
+
+/// Decodes a fragment (through `cache` when given) and maps `out` over
+/// its rows visible at `snapshot`. The index in the decoded extent is
+/// the fragment-relative position.
+fn read_visible<T>(
+    spec: &FragmentReadSpec,
+    fleet: &StorageFleet,
+    key: &vortex_common::crypt::Key,
+    snapshot: Timestamp,
+    cache: Option<&crate::cache::ReadCache>,
+    out: impl Fn(u64, &(RowMeta, Row)) -> T,
+) -> VortexResult<Vec<T>> {
     if spec.visibility.visible_from > snapshot {
         return Ok(vec![]);
     }
-    if let Some(cache) = cache {
-        if let Some(decoded) = cache.get(&spec.meta.path, spec.meta.committed_size) {
-            return Ok(filter_visible(spec, &decoded, snapshot));
-        }
-        let decoded = std::sync::Arc::new(decode_fragment(spec, fleet, key)?);
-        cache.put(&spec.meta.path, spec.meta.committed_size, decoded.clone());
-        return Ok(filter_visible(spec, &decoded, snapshot));
-    }
-    let decoded = decode_fragment(spec, fleet, key)?;
-    Ok(filter_visible(spec, &decoded, snapshot))
+    let decoded = match cache {
+        Some(cache) => match cache.get(&spec.meta.path, spec.meta.committed_size) {
+            Some(decoded) => decoded,
+            None => {
+                let decoded = Arc::new(decode_fragment(spec, fleet, key)?);
+                cache.put(&spec.meta.path, spec.meta.committed_size, decoded.clone());
+                decoded
+            }
+        },
+        None => Arc::new(decode_fragment(spec, fleet, key)?),
+    };
+    // §7.1: stop at the snapshot timestamp (rows are in write order for
+    // WOS; for ROS every row predates the block's creation).
+    let wos = spec.meta.kind == vortex_sms::meta::FragmentKind::Wos;
+    Ok(decoded
+        .iter()
+        .take_while(|(meta, _)| !(wos && meta.ts > snapshot))
+        .enumerate()
+        .filter(|&(pos, _)| spec.row_visible(pos as u64))
+        .map(|(pos, r)| out(pos as u64, r))
+        .collect())
 }
 
 /// Reads an unfinalized streamlet tail by probing log files past the last

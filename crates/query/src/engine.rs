@@ -24,7 +24,7 @@ use vortex_wos::format::{Footer, RecordHeader, RecordType, FOOTER_TOTAL_LEN, REC
 
 use crate::cdc::resolve_changes;
 use crate::expr::Expr;
-use crate::pushdown::{scan_ros_block, CPred, PushedBlock};
+use crate::pushdown::{scan_ros_block, select_rows, CPred, ScanYield};
 
 /// Scan configuration.
 #[derive(Debug, Clone)]
@@ -39,12 +39,6 @@ pub struct ScanOptions {
     pub use_bloom: bool,
     /// Parallel scan shards.
     pub parallelism: usize,
-    /// Evaluate the predicate inside compressed ROS blocks (zone-map
-    /// short-circuit, dictionary-id rewrite, run-level evaluation, late
-    /// materialization) instead of decode-then-filter. Disabled
-    /// automatically when `resolve_changes` is set — merge-on-read must
-    /// see every version of a key, including rows the filter would drop.
-    pub pushdown: bool,
     /// Columns the caller needs materialized (`None` = all). Columns
     /// outside the projection come back NULL; the predicate still
     /// evaluates against stored values.
@@ -58,7 +52,6 @@ impl Default for ScanOptions {
             resolve_changes: false,
             use_bloom: true,
             parallelism: 8,
-            pushdown: true,
             projection: None,
         }
     }
@@ -75,13 +68,12 @@ pub struct ScanStats {
     pub pruned_by_bloom: usize,
     /// Streamlet tails probed.
     pub tails_scanned: usize,
-    /// Column-chunk zones inspected across pushed-down ROS blocks (zero
-    /// on the decode-then-filter path).
+    /// Column-chunk zones inspected across ROS blocks.
     pub zones_total: usize,
     /// Zones skipped via per-zone min/max properties (the zone map).
     pub zones_pruned: usize,
-    /// Rows decoded from storage. For pushed-down ROS blocks this counts
-    /// the rows of zones the zone map could not skip (masked rows
+    /// Rows decoded from storage: visible WOS and tail rows, plus the
+    /// rows of ROS zones the zone map could not skip (masked rows
     /// included — the zone was decoded regardless).
     pub rows_scanned: u64,
     /// Rows matching the predicate.
@@ -105,45 +97,6 @@ pub struct ScanResult {
     pub rows: Vec<(RowMeta, Row)>,
     /// Pruning/scan counters.
     pub stats: ScanStats,
-}
-
-/// What one scanned fragment contributes to a scan round.
-#[derive(Debug, Default)]
-struct ShardYield {
-    /// Rows from the decode-then-filter path (visibility applied, still
-    /// unfiltered and unprojected).
-    raw: Vec<(RowMeta, Row)>,
-    /// Rows from pushed-down ROS scans (already filtered + projected).
-    pushed: Vec<(RowMeta, Row)>,
-    /// Visible-row commit timestamps from pushed fragments (raw rows
-    /// carry their own).
-    visible_ts: Vec<Timestamp>,
-    /// Zones inspected in pushed fragments.
-    zones_total: usize,
-    /// Zones the zone map skipped.
-    zones_pruned: usize,
-    /// Rows decoded by pushed scans.
-    rows_scanned: u64,
-}
-
-impl ShardYield {
-    fn raw(rows: Vec<(RowMeta, Row)>) -> Self {
-        ShardYield {
-            raw: rows,
-            ..Default::default()
-        }
-    }
-
-    fn pushed(p: PushedBlock) -> Self {
-        ShardYield {
-            pushed: p.rows,
-            visible_ts: p.visible_ts,
-            zones_total: p.zones_total,
-            zones_pruned: p.zones_pruned,
-            rows_scanned: p.rows_scanned,
-            ..Default::default()
-        }
-    }
 }
 
 /// Runs `f` over `items` (the surviving fragments) on up to `shards`
@@ -291,13 +244,36 @@ impl QueryEngine {
             Default::default();
         for _round in 0..8 {
             let rs = self.sms.list_read_fragments(table, snapshot)?;
+            let pred = CPred::compile(&opts.predicate, &rs.schema)?;
+            let proj_idx: Option<Vec<usize>> = match &opts.projection {
+                Some(cols) => Some(
+                    cols.iter()
+                        .map(|c| {
+                            rs.schema.column_index(c).ok_or_else(|| {
+                                VortexError::InvalidArgument(format!(
+                                    "unknown projection column {c}"
+                                ))
+                            })
+                        })
+                        .collect::<VortexResult<_>>()?,
+                ),
+                None => None,
+            };
             let mut stats = ScanStats {
                 fragments_total: rs.fragments.len(),
                 ..ScanStats::default()
             };
             // ---- Partition elimination (§7.2) ----
+            // Merge-on-read must see every version of a key: a fragment
+            // whose rows all fail the filter may still hold the newest
+            // version of a key another fragment matches, so CDC scans
+            // prune nothing by predicate.
             let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
             for spec in &rs.fragments {
+                if opts.resolve_changes {
+                    survivors.push(spec);
+                    continue;
+                }
                 let lookup = |col: &str| -> Option<ColumnStats> {
                     spec.meta
                         .stats
@@ -319,70 +295,47 @@ impl QueryEngine {
                 survivors.push(spec);
             }
             // ---- Parallel fragment scans ----
-            // ROS blocks go through compute pushdown (predicate evaluated
-            // on the compressed chunks, only projected columns of
-            // selected rows materialized) unless merge-on-read needs
-            // every row. A predicate naming a column the snapshot schema
-            // lacks cannot be compiled; such scans keep the legacy
-            // decode-then-filter semantics (which only error once a row
-            // actually reaches the filter).
-            let cpred = if opts.pushdown && !opts.resolve_changes {
-                CPred::compile(&opts.predicate, &rs.schema).ok()
+            // Every fragment is filtered and projected where it is read:
+            // ROS blocks inside their compressed chunks, WOS fragments
+            // and tails row by row. Merge-on-read must see every version
+            // of a key, including rows the filter would drop, so CDC
+            // scans filter and project only after resolution.
+            let (frag_pred, frag_proj) = if opts.resolve_changes {
+                (&CPred::True, None)
             } else {
-                None
-            };
-            let proj_idx: Option<Vec<usize>> = match &opts.projection {
-                Some(cols) => Some(
-                    cols.iter()
-                        .map(|c| {
-                            rs.schema.column_index(c).ok_or_else(|| {
-                                VortexError::InvalidArgument(format!(
-                                    "unknown projection column {c}"
-                                ))
-                            })
-                        })
-                        .collect::<VortexResult<_>>()?,
-                ),
-                None => None,
+                (&pred, proj_idx.as_deref())
             };
             let arity = rs.schema.fields.len();
             let want_ts = self.probe.is_some();
             let results = scan_shards(&survivors, opts.parallelism.max(1), &|&spec| {
                 if spec.visibility.visible_from > snapshot {
-                    return Ok(ShardYield::default());
+                    return Ok(ScanYield::default());
                 }
-                if let Some(pred) = &cpred {
-                    if spec.meta.kind == FragmentKind::Ros {
+                match spec.meta.kind {
+                    FragmentKind::Ros => {
                         let block = read_ros_block(spec, &self.fleet, &key)?;
-                        let pushed = scan_ros_block(
-                            &block,
+                        scan_ros_block(&block, spec, frag_pred, frag_proj, arity, want_ts)
+                    }
+                    FragmentKind::Wos => {
+                        let rows = read_fragment_cached(
                             spec,
-                            pred,
-                            proj_idx.as_deref(),
-                            arity,
-                            want_ts,
+                            &self.fleet,
+                            &key,
+                            snapshot,
+                            self.cache.as_deref(),
                         )?;
-                        return Ok(ShardYield::pushed(pushed));
+                        Ok(select_rows(rows, frag_pred, frag_proj, arity, want_ts))
                     }
                 }
-                read_fragment_cached(spec, &self.fleet, &key, snapshot, self.cache.as_deref())
-                    .map(ShardYield::raw)
             });
-            let mut rows: Vec<(RowMeta, Row)> = Vec::new();
-            let mut pushed_rows: Vec<(RowMeta, Row)> = Vec::new();
-            let mut pushed_ts: Vec<Timestamp> = Vec::new();
+            let mut scanned = ScanYield::default();
             for r in results {
-                let y = r?;
-                rows.extend(y.raw);
-                pushed_rows.extend(y.pushed);
-                pushed_ts.extend(y.visible_ts);
-                stats.zones_total += y.zones_total;
-                stats.zones_pruned += y.zones_pruned;
-                stats.rows_scanned += y.rows_scanned;
+                scanned.absorb(r?);
             }
             // ---- Tails (no cached properties; always scanned, §7.2:
             // "the properties for the tail of a Streamlet are maintained
             // by the Stream Server" — our reader goes to the log) ----
+            let mut tail_rows = Vec::new();
             let mut ambiguous = Vec::new();
             for tail in &rs.tails {
                 stats.tails_scanned += 1;
@@ -391,7 +344,7 @@ impl QueryEngine {
                     // tail, but it was reconciled during this scan: read
                     // through the authoritative fragment records instead
                     // of re-probing the (now poisoned) log files.
-                    rows.extend(read_reconciled_tail(
+                    tail_rows.extend(read_reconciled_tail(
                         &self.sms,
                         &self.fleet,
                         &key,
@@ -403,7 +356,7 @@ impl QueryEngine {
                     continue;
                 }
                 match read_tail(tail, &self.fleet, &key, snapshot)? {
-                    TailOutcome::Rows(r) => rows.extend(r),
+                    TailOutcome::Rows(r) => tail_rows.extend(r),
                     TailOutcome::NeedsReconcile => ambiguous.push(tail.streamlet),
                 }
             }
@@ -414,52 +367,17 @@ impl QueryEngine {
                 }
                 continue; // retry with reconciled metadata
             }
-            stats.rows_scanned += rows.len() as u64;
-            // Commit timestamps of everything visible at this snapshot,
-            // captured before CDC resolution / filtering can drop rows —
-            // freshness (§8) measures when *committed* data became
-            // readable, not whether a predicate kept it. Pushed-down
-            // blocks contributed theirs (all visible rows, filtered or
-            // not) via the shard yields.
-            let visible_ts: Vec<Timestamp> = if self.probe.is_some() {
-                rows.iter().map(|(m, _)| m.ts).chain(pushed_ts).collect()
-            } else {
-                Vec::new()
-            };
-            // Pad short (pre-evolution) rows to the snapshot schema.
-            for (_, r) in rows.iter_mut() {
-                while r.values.len() < arity {
-                    r.values.push(Value::Null);
-                }
-            }
+            scanned.absorb(select_rows(tail_rows, frag_pred, frag_proj, arity, want_ts));
+            stats.zones_total = scanned.zones_total;
+            stats.zones_pruned = scanned.zones_pruned;
+            stats.rows_scanned = scanned.rows_scanned;
             // ---- CDC resolution, then the filter ----
-            let rows = if opts.resolve_changes {
-                resolve_changes(&tmeta.schema, rows)
+            let mut matched = if opts.resolve_changes {
+                let resolved = resolve_changes(&tmeta.schema, scanned.rows);
+                select_rows(resolved, &pred, proj_idx.as_deref(), arity, false).rows
             } else {
-                rows
+                scanned.rows
             };
-            let mut matched = Vec::new();
-            for (m, r) in rows {
-                if opts.predicate.eval(&rs.schema, &r)? {
-                    matched.push((m, r));
-                }
-            }
-            // Late projection on the fallback path, mirroring the pushed
-            // one: columns outside the projection read NULL. (After the
-            // filter and CDC resolution — both see stored values.)
-            if let Some(proj) = &proj_idx {
-                for (_, r) in matched.iter_mut() {
-                    for (i, v) in r.values.iter_mut().enumerate() {
-                        if !proj.contains(&i) {
-                            *v = Value::Null;
-                        }
-                    }
-                }
-            }
-            // Pushed rows are pre-filtered and pre-projected; re-running
-            // the filter would wrongly drop rows whose predicate columns
-            // the projection nulled.
-            matched.extend(pushed_rows);
             stats.rows_matched = matched.len() as u64;
             matched.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
             if let Some((h0, m0)) = cache_base {
@@ -467,7 +385,7 @@ impl QueryEngine {
                 stats.cache_hits = c.hits().saturating_sub(h0);
                 stats.cache_misses = c.misses().saturating_sub(m0);
             }
-            self.record_scan(table, &stats, scan_start, &visible_ts);
+            self.record_scan(table, &stats, scan_start, &scanned.visible_ts);
             return Ok(ScanResult {
                 snapshot,
                 schema: rs.schema,

@@ -8,11 +8,7 @@
 //! derivative evaluation: `false` means the fragment provably holds no
 //! matching row and is eliminated.
 
-use std::cmp::Ordering;
-
-use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::row::{Row, Value};
-use vortex_common::schema::Schema;
+use vortex_common::row::Value;
 use vortex_common::stats::ColumnStats;
 
 /// Comparison operators.
@@ -134,54 +130,6 @@ impl Expr {
         Expr::Not(Box::new(self))
     }
 
-    /// Evaluates against a row (SQL three-valued logic collapsed to
-    /// boolean: NULL comparisons are false).
-    pub fn eval(&self, schema: &Schema, row: &Row) -> VortexResult<bool> {
-        Ok(match self {
-            Expr::True => true,
-            Expr::Cmp { column, op, value } => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                // Rows written before an additive schema change are short
-                // of the new columns; those columns read as NULL.
-                let v = row.values.get(idx).unwrap_or(&Value::Null);
-                if v.is_null() || value.is_null() {
-                    false
-                } else {
-                    let ord = v.total_cmp(value);
-                    match op {
-                        CmpOp::Eq => ord == Ordering::Equal,
-                        CmpOp::Ne => ord != Ordering::Equal,
-                        CmpOp::Lt => ord == Ordering::Less,
-                        CmpOp::Le => ord != Ordering::Greater,
-                        CmpOp::Gt => ord == Ordering::Greater,
-                        CmpOp::Ge => ord != Ordering::Less,
-                    }
-                }
-            }
-            Expr::In { column, values } => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                let v = row.values.get(idx).unwrap_or(&Value::Null);
-                !v.is_null()
-                    && values
-                        .iter()
-                        .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
-            }
-            Expr::IsNull(column) => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                row.values.get(idx).map(|v| v.is_null()).unwrap_or(true)
-            }
-            Expr::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
-            Expr::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
-            Expr::Not(a) => !a.eval(schema, row)?,
-        })
-    }
-
     /// The §7.2 derivative expression over column properties: returns
     /// `false` only if NO row summarized by `stats` can satisfy the
     /// filter. `stats_of` maps a column name to its properties (absent =
@@ -248,13 +196,21 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vortex_common::schema::{Field, FieldType};
+    use crate::pushdown::CPred;
+    use vortex_common::row::Row;
+    use vortex_common::schema::{Field, FieldType, Schema};
 
     fn schema() -> Schema {
         Schema::new(vec![
             Field::required("a", FieldType::Int64),
             Field::nullable("b", FieldType::String),
         ])
+    }
+
+    /// Evaluates `e` on `row` through the compiled predicate, the only
+    /// evaluator scans use.
+    fn ev(e: &Expr, s: &Schema, row: &Row) -> bool {
+        CPred::compile(e, s).unwrap().matches(&row.values)
     }
 
     fn row(a: i64, b: Option<&str>) -> Row {
@@ -267,61 +223,49 @@ mod tests {
     #[test]
     fn comparisons() {
         let s = schema();
-        assert!(Expr::eq("a", Value::Int64(5))
-            .eval(&s, &row(5, None))
-            .unwrap());
-        assert!(!Expr::eq("a", Value::Int64(5))
-            .eval(&s, &row(6, None))
-            .unwrap());
-        assert!(Expr::lt("a", Value::Int64(5))
-            .eval(&s, &row(4, None))
-            .unwrap());
-        assert!(Expr::le("a", Value::Int64(5))
-            .eval(&s, &row(5, None))
-            .unwrap());
-        assert!(Expr::gt("a", Value::Int64(5))
-            .eval(&s, &row(6, None))
-            .unwrap());
-        assert!(Expr::ge("a", Value::Int64(5))
-            .eval(&s, &row(5, None))
-            .unwrap());
-        assert!(Expr::True.eval(&s, &row(0, None)).unwrap());
+        assert!(ev(&Expr::eq("a", Value::Int64(5)), &s, &row(5, None)));
+        assert!(!ev(&Expr::eq("a", Value::Int64(5)), &s, &row(6, None)));
+        assert!(ev(&Expr::lt("a", Value::Int64(5)), &s, &row(4, None)));
+        assert!(ev(&Expr::le("a", Value::Int64(5)), &s, &row(5, None)));
+        assert!(ev(&Expr::gt("a", Value::Int64(5)), &s, &row(6, None)));
+        assert!(ev(&Expr::ge("a", Value::Int64(5)), &s, &row(5, None)));
+        assert!(ev(&Expr::True, &s, &row(0, None)));
     }
 
     #[test]
     fn null_semantics() {
         let s = schema();
         // NULL compares false under every operator.
-        assert!(!Expr::eq("b", Value::String("x".into()))
-            .eval(&s, &row(1, None))
-            .unwrap());
-        assert!(Expr::IsNull("b".into()).eval(&s, &row(1, None)).unwrap());
-        assert!(!Expr::IsNull("b".into())
-            .eval(&s, &row(1, Some("x")))
-            .unwrap());
+        assert!(!ev(
+            &Expr::eq("b", Value::String("x".into())),
+            &s,
+            &row(1, None)
+        ));
+        assert!(ev(&Expr::IsNull("b".into()), &s, &row(1, None)));
+        assert!(!ev(&Expr::IsNull("b".into()), &s, &row(1, Some("x"))));
+        // A row written before the column existed reads it as NULL.
+        let short = Row::insert(vec![Value::Int64(1)]);
+        assert!(ev(&Expr::IsNull("b".into()), &s, &short));
+        assert!(!ev(&Expr::eq("b", Value::String("x".into())), &s, &short));
     }
 
     #[test]
     fn boolean_combinators() {
         let s = schema();
         let e = Expr::ge("a", Value::Int64(0)).and(Expr::lt("a", Value::Int64(10)));
-        assert!(e.eval(&s, &row(5, None)).unwrap());
-        assert!(!e.eval(&s, &row(10, None)).unwrap());
+        assert!(ev(&e, &s, &row(5, None)));
+        assert!(!ev(&e, &s, &row(10, None)));
         let o = Expr::eq("a", Value::Int64(1)).or(Expr::eq("a", Value::Int64(2)));
-        assert!(o.eval(&s, &row(2, None)).unwrap());
-        assert!(!o.eval(&s, &row(3, None)).unwrap());
-        assert!(Expr::eq("a", Value::Int64(1))
-            .not()
-            .eval(&s, &row(3, None))
-            .unwrap());
+        assert!(ev(&o, &s, &row(2, None)));
+        assert!(!ev(&o, &s, &row(3, None)));
+        assert!(ev(&Expr::eq("a", Value::Int64(1)).not(), &s, &row(3, None)));
     }
 
     #[test]
     fn unknown_column_errors() {
         let s = schema();
-        assert!(Expr::eq("zzz", Value::Int64(1))
-            .eval(&s, &row(1, None))
-            .is_err());
+        assert!(CPred::compile(&Expr::eq("zzz", Value::Int64(1)), &s).is_err());
+        assert!(CPred::compile(&Expr::True.and(Expr::IsNull("zzz".into())), &s).is_err());
     }
 
     fn stats(min: i64, max: i64) -> ColumnStats {
@@ -371,17 +315,15 @@ mod tests {
     fn in_list_semantics() {
         let s = schema();
         let e = Expr::is_in("a", vec![Value::Int64(2), Value::Int64(5)]);
-        assert!(e.eval(&s, &row(5, None)).unwrap());
-        assert!(!e.eval(&s, &row(3, None)).unwrap());
+        assert!(ev(&e, &s, &row(5, None)));
+        assert!(!ev(&e, &s, &row(3, None)));
         // NULL row value and NULL list elements never match.
         let e = Expr::is_in("b", vec![Value::Null, Value::String("x".into())]);
-        assert!(!e.eval(&s, &row(1, None)).unwrap());
-        assert!(e.eval(&s, &row(1, Some("x"))).unwrap());
-        assert!(!Expr::is_in("a", vec![Value::Null])
-            .eval(&s, &row(1, None))
-            .unwrap());
+        assert!(!ev(&e, &s, &row(1, None)));
+        assert!(ev(&e, &s, &row(1, Some("x"))));
+        assert!(!ev(&Expr::is_in("a", vec![Value::Null]), &s, &row(1, None)));
         // Empty list matches nothing.
-        assert!(!Expr::is_in("a", vec![]).eval(&s, &row(1, None)).unwrap());
+        assert!(!ev(&Expr::is_in("a", vec![]), &s, &row(1, None)));
         // Stats pruning: prune only when NO listed value can occur.
         let lookup = |c: &str| (c == "a").then(|| stats(10, 20));
         assert!(Expr::is_in("a", vec![Value::Int64(1), Value::Int64(15)]).may_match_stats(&lookup));

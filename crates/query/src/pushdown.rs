@@ -1,9 +1,8 @@
-//! Compute pushdown over compressed ROS blocks (§7.2 plus ROADMAP's
-//! "cascading encodings with compute pushdown", after spiraldb Vortex).
+//! The scan kernel (§7.2): one compiled predicate ([`CPred`]) filters
+//! and projects every row a scan returns, whatever storage it came from.
 //!
-//! The decode-then-filter scan path materializes every row of every
-//! surviving block before the predicate runs. This module evaluates the
-//! predicate *inside* the block instead:
+//! ROS blocks are never decoded whole; the predicate runs *inside* the
+//! block (after spiraldb Vortex's compute over compressed arrays):
 //!
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
 //!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
@@ -16,12 +15,12 @@
 //! 4. **Late materialization** — only projected columns are decoded, and
 //!    only at the row positions the filter selected.
 //!
-//! Equivalence contract: for any predicate and block, the selected rows
-//! are exactly those the fallback path would keep — leaf semantics
-//! (NULL comparisons false, [`vortex_common::row::Value::total_cmp`]
-//! ordering) mirror [`Expr::eval`] case for case, and row visibility
-//! (flush limits, DML masks) mirrors the client's `filter_visible`.
-//! `crates/query/src/tests.rs` pins this with an equivalence proptest.
+//! WOS fragments and streamlet tails arrive as decoded rows;
+//! [`select_rows`] evaluates the same leaves on them row by row. Row
+//! visibility (flush limits, DML masks) is
+//! [`FragmentReadSpec::row_visible`] everywhere. `crates/query/src/tests.rs`
+//! pins the whole pipeline against an independent oracle (read the table,
+//! resolve changes, filter with a row-at-a-time evaluator, project).
 
 use std::cmp::Ordering;
 
@@ -35,9 +34,9 @@ use vortex_sms::readset::FragmentReadSpec;
 use crate::expr::{CmpOp, Expr};
 
 /// A predicate compiled against the snapshot schema: column names are
-/// resolved to positional indices once, so per-zone evaluation does no
-/// string lookups. Compilation fails on unknown columns — callers fall
-/// back to the legacy path to keep its lazier error semantics.
+/// resolved to positional indices once, so evaluation does no string
+/// lookups. Compilation fails on unknown columns, so a bad predicate
+/// fails when the scan starts.
 #[derive(Debug, Clone)]
 pub(crate) enum CPred {
     /// Always true.
@@ -98,6 +97,22 @@ impl CPred {
             ),
             Expr::Not(a) => CPred::Not(Box::new(CPred::compile(a, schema)?)),
         })
+    }
+
+    /// Evaluates the predicate on one decoded row (SQL three-valued logic
+    /// collapsed to boolean: NULL comparisons are false). A column past
+    /// the row's length — added after the row was written — reads NULL.
+    pub(crate) fn matches(&self, values: &[Value]) -> bool {
+        let at = |col: usize| values.get(col).unwrap_or(&Value::Null);
+        match self {
+            CPred::True => true,
+            CPred::Cmp { col, op, value } => cmp_value(at(*col), *op, value),
+            CPred::In { col, values: list } => in_list(at(*col), list),
+            CPred::IsNull(col) => at(*col).is_null(),
+            CPred::And(a, b) => a.matches(values) && b.matches(values),
+            CPred::Or(a, b) => a.matches(values) || b.matches(values),
+            CPred::Not(a) => !a.matches(values),
+        }
     }
 
     /// The zone-map short-circuit: `false` means no row of zone `z` can
@@ -188,8 +203,8 @@ impl CPred {
     }
 }
 
-/// Mirrors [`Expr::eval`]'s comparison leaf: NULL on either side is
-/// false; otherwise total order.
+/// The comparison leaf: NULL on either side is false; otherwise
+/// [`Value::total_cmp`] order.
 fn cmp_value(v: &Value, op: CmpOp, lit: &Value) -> bool {
     if v.is_null() || lit.is_null() {
         return false;
@@ -205,8 +220,7 @@ fn cmp_value(v: &Value, op: CmpOp, lit: &Value) -> bool {
     }
 }
 
-/// Mirrors [`Expr::eval`]'s IN leaf: NULL row values and NULL list
-/// elements never match.
+/// The IN leaf: NULL row values and NULL list elements never match.
 fn in_list(v: &Value, list: &[Value]) -> bool {
     !v.is_null()
         && list
@@ -268,9 +282,9 @@ impl<'b> ZoneCols<'b> {
     }
 }
 
-/// Output of one pushed-down block scan.
+/// What scanning one fragment (or the tails) contributes to a scan.
 #[derive(Debug, Default)]
-pub(crate) struct PushedBlock {
+pub(crate) struct ScanYield {
     /// Matching rows — already filtered, projected, and padded to the
     /// snapshot schema arity. The caller must NOT re-filter them (the
     /// projection may have nulled the predicate columns).
@@ -279,12 +293,61 @@ pub(crate) struct PushedBlock {
     /// predicate or not — the freshness probe (§8) measures when
     /// committed data became readable, not whether a filter kept it.
     pub visible_ts: Vec<Timestamp>,
-    /// Zones in the block.
+    /// Zones inspected (ROS blocks only).
     pub zones_total: usize,
     /// Zones skipped via the zone map.
     pub zones_pruned: usize,
-    /// Rows decoded (rows of the zones the zone map could not skip).
+    /// Rows decoded: every visible row of decoded input, and the rows of
+    /// the ROS zones the zone map could not skip.
     pub rows_scanned: u64,
+}
+
+impl ScanYield {
+    /// Folds `other` into `self`.
+    pub(crate) fn absorb(&mut self, other: ScanYield) {
+        self.rows.extend(other.rows);
+        self.visible_ts.extend(other.visible_ts);
+        self.zones_total += other.zones_total;
+        self.zones_pruned += other.zones_pruned;
+        self.rows_scanned += other.rows_scanned;
+    }
+}
+
+/// Filters and projects already-decoded, visible rows (WOS fragments,
+/// streamlet tails, merge-on-read output) with the predicate's row-level
+/// form. Rows come back padded to `arity`; columns outside `projection`
+/// read NULL.
+pub(crate) fn select_rows(
+    rows: Vec<(RowMeta, Row)>,
+    pred: &CPred,
+    projection: Option<&[usize]>,
+    arity: usize,
+    want_visible_ts: bool,
+) -> ScanYield {
+    let mut out = ScanYield {
+        rows_scanned: rows.len() as u64,
+        ..Default::default()
+    };
+    if want_visible_ts {
+        out.visible_ts = rows.iter().map(|(m, _)| m.ts).collect();
+    }
+    for (m, mut r) in rows {
+        if !pred.matches(&r.values) {
+            continue;
+        }
+        if r.values.len() < arity {
+            r.values.resize(arity, Value::Null);
+        }
+        if let Some(proj) = projection {
+            for (i, v) in r.values.iter_mut().enumerate() {
+                if !proj.contains(&i) {
+                    *v = Value::Null;
+                }
+            }
+        }
+        out.rows.push((m, r));
+    }
+    out
 }
 
 /// Scans one ROS block with the predicate pushed into the compressed
@@ -298,20 +361,12 @@ pub(crate) fn scan_ros_block(
     projection: Option<&[usize]>,
     arity: usize,
     want_visible_ts: bool,
-) -> VortexResult<PushedBlock> {
+) -> VortexResult<ScanYield> {
     let metas = block.metas();
-    // Row visibility, mirroring the client's `filter_visible`: the WOS
-    // snapshot-timestamp cutoff never triggers for ROS (every row
-    // predates the block's creation), leaving flush limits + DML masks.
-    let vis = |idx: usize| {
-        if let Some(limit) = spec.visibility.flush_limit {
-            if spec.meta.first_row + idx as u64 >= limit {
-                return false;
-            }
-        }
-        !spec.mask.contains(idx as u64)
-    };
-    let mut out = PushedBlock {
+    // Every row predates the block's creation, so the WOS snapshot cutoff
+    // never applies here.
+    let vis = |idx: usize| spec.row_visible(idx as u64);
+    let mut out = ScanYield {
         zones_total: block.zone_count(),
         ..Default::default()
     };

@@ -2,21 +2,27 @@
 
 use std::sync::Arc;
 
+use std::cmp::Ordering;
+
+use vortex_client::read::{read_table, ReadOptions};
 use vortex_client::VortexClient;
 use vortex_colossus::StorageFleet;
+use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
-use vortex_common::truetime::{SimClock, TrueTime};
+use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
+use vortex_ros::RowMeta;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::sms::{SmsConfig, SmsTask};
 
+use crate::cdc::resolve_changes;
 use crate::dml::DmlExecutor;
 use crate::engine::{AggKind, QueryEngine, ScanOptions};
-use crate::expr::Expr;
+use crate::expr::{CmpOp, Expr};
 
 struct Rig {
     sms: Arc<SmsTask>,
@@ -122,6 +128,94 @@ fn amounts(rows: &[(vortex_ros::RowMeta, Row)]) -> Vec<i64> {
         .collect();
     v.sort_unstable();
     v
+}
+
+/// The scan oracle, independent of the engine's scan pipeline: read
+/// every visible row through `read_table` (which pads rows to the
+/// snapshot schema), resolve changes when the scan asks for it, filter
+/// with [`oracle_eval`], and null the columns outside the projection.
+fn oracle_scan(r: &Rig, t: TableId, snap: Timestamp, opts: &ScanOptions) -> Vec<(RowMeta, Row)> {
+    let table = read_table(
+        r.client.sms(),
+        r.client.fleet(),
+        t,
+        snap,
+        &ReadOptions::default(),
+    )
+    .unwrap();
+    let schema = &table.schema;
+    let mut rows = if opts.resolve_changes {
+        resolve_changes(&r.sms.get_table(t).unwrap().schema, table.rows)
+    } else {
+        table.rows
+    };
+    rows.retain(|(_, row)| oracle_eval(&opts.predicate, schema, row).unwrap());
+    if let Some(cols) = &opts.projection {
+        for (_, row) in rows.iter_mut() {
+            for (field, v) in schema.fields.iter().zip(row.values.iter_mut()) {
+                if !cols.contains(&field.name) {
+                    *v = Value::Null;
+                }
+            }
+        }
+    }
+    rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+    rows
+}
+
+/// A row-at-a-time evaluator that looks every column up by name (SQL
+/// three-valued logic collapsed to boolean: NULL comparisons are false;
+/// columns a short row lacks read NULL). Kept apart from the engine's
+/// compiled predicate so the oracle does not share its code.
+fn oracle_eval(e: &Expr, schema: &Schema, row: &Row) -> VortexResult<bool> {
+    let value = |column: &str| -> VortexResult<&Value> {
+        let idx = schema
+            .column_index(column)
+            .ok_or_else(|| VortexError::InvalidArgument(format!("unknown column {column}")))?;
+        Ok(row.values.get(idx).unwrap_or(&Value::Null))
+    };
+    Ok(match e {
+        Expr::True => true,
+        Expr::Cmp {
+            column,
+            op,
+            value: lit,
+        } => {
+            let v = value(column)?;
+            if v.is_null() || lit.is_null() {
+                false
+            } else {
+                let ord = v.total_cmp(lit);
+                match op {
+                    CmpOp::Eq => ord == Ordering::Equal,
+                    CmpOp::Ne => ord != Ordering::Equal,
+                    CmpOp::Lt => ord == Ordering::Less,
+                    CmpOp::Le => ord != Ordering::Greater,
+                    CmpOp::Gt => ord == Ordering::Greater,
+                    CmpOp::Ge => ord != Ordering::Less,
+                }
+            }
+        }
+        Expr::In { column, values } => {
+            let v = value(column)?;
+            !v.is_null()
+                && values
+                    .iter()
+                    .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
+        }
+        Expr::IsNull(column) => value(column)?.is_null(),
+        Expr::And(a, b) => oracle_eval(a, schema, row)? && oracle_eval(b, schema, row)?,
+        Expr::Or(a, b) => oracle_eval(a, schema, row)? || oracle_eval(b, schema, row)?,
+        Expr::Not(a) => !oracle_eval(a, schema, row)?,
+    })
+}
+
+/// Row identity via the canonical key encoding: `PartialEq` would call
+/// NaN != NaN and -0.0 == 0.0, hiding real divergence.
+fn keys(rows: &[(RowMeta, Row)]) -> Vec<(RowMeta, Vec<Vec<u8>>)> {
+    rows.iter()
+        .map(|(m, r)| (*m, r.values.iter().map(|v| v.encode_key()).collect()))
+        .collect()
 }
 
 #[test]
@@ -445,6 +539,47 @@ fn dml_then_conversion_then_read() {
         .scan(t.table, r.sms.read_snapshot(), &ScanOptions::default())
         .unwrap();
     assert_eq!(amounts(&res.rows), (10..80).collect::<Vec<_>>());
+}
+
+/// DML reads fragments through the client's replica failover: a first
+/// replica that reads but does not parse must not fail the statement
+/// while scans fail over past it.
+#[test]
+fn dml_fails_over_past_unparseable_replica() {
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+    w.append(rows(0, 50)).unwrap();
+    let s = w.stream_id();
+    r.sms.finalize_stream(t.table, s).unwrap();
+    let rs = r
+        .sms
+        .list_read_fragments(t.table, r.sms.read_snapshot())
+        .unwrap();
+    assert!(!rs.fragments.is_empty());
+    for spec in &rs.fragments {
+        let first = r.client.fleet().get(spec.meta.clusters[0]).unwrap();
+        first.delete(&spec.meta.path).unwrap();
+        first.create(&spec.meta.path).unwrap();
+        first
+            .append(&spec.meta.path, &[0xDE, 0xAD, 0xBE, 0xEF], Timestamp(0))
+            .unwrap();
+    }
+    let all = r
+        .engine
+        .scan(t.table, r.sms.read_snapshot(), &ScanOptions::default())
+        .unwrap();
+    assert_eq!(all.rows.len(), 50);
+    let report = r
+        .dml
+        .delete_where(t.table, &Expr::lt("amount", Value::Int64(10)))
+        .unwrap();
+    assert_eq!(report.rows_matched, 10);
+    let res = r
+        .engine
+        .scan(t.table, r.sms.read_snapshot(), &ScanOptions::default())
+        .unwrap();
+    assert_eq!(amounts(&res.rows), (10..50).collect::<Vec<_>>());
 }
 
 #[test]
@@ -1066,7 +1201,7 @@ fn sql_across_schema_evolution() {
 // ---------------------------------------------------------------------
 // Compute pushdown over compressed ROS blocks: zone-map pruning, late
 // materialization, and the equivalence contract — a pushed scan must be
-// indistinguishable from decode-then-filter.
+// indistinguishable from the oracle's decode-then-filter.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -1108,21 +1243,10 @@ fn zone_map_prunes_within_a_block() {
     assert!(res.stats.rows_scanned <= 1024, "{:?}", res.stats);
     assert_eq!(amounts(&res.rows), (1960..2000).collect::<Vec<_>>());
 
-    // Decode-then-filter agrees on the rows but skips nothing.
-    let res_off = r
-        .engine
-        .scan(
-            t.table,
-            r.sms.read_snapshot(),
-            &ScanOptions {
-                pushdown: false,
-                ..opts
-            },
-        )
-        .unwrap();
-    assert_eq!(amounts(&res_off.rows), amounts(&res.rows));
-    assert_eq!(res_off.stats.zones_pruned, 0);
-    assert_eq!(res_off.stats.rows_scanned, 2000);
+    assert_eq!(
+        keys(&res.rows),
+        keys(&oracle_scan(&r, t.table, r.sms.read_snapshot(), &opts))
+    );
 }
 
 #[test]
@@ -1143,14 +1267,25 @@ fn projection_pushdown_nulls_unrequested_columns() {
     }
     assert_eq!(amounts(&res.rows), (100..200).collect::<Vec<_>>());
 
-    // Unknown projection column is a hard error on both paths.
-    for pushdown in [true, false] {
-        let bad = ScanOptions {
+    // Unknown projection or predicate columns are hard errors when the
+    // scan starts, whether or not any row reaches the filter.
+    let empty = r.sms.create_table("empty", schema()).unwrap().table;
+    for table in [t, empty] {
+        let bad_projection = ScanOptions {
             projection: Some(vec!["nope".to_string()]),
-            pushdown,
             ..ScanOptions::default()
         };
-        assert!(r.engine.scan(t, r.sms.read_snapshot(), &bad).is_err());
+        let bad_predicate = ScanOptions {
+            predicate: Expr::True.and(Expr::eq("nope", Value::Int64(1))),
+            ..ScanOptions::default()
+        };
+        for bad in [bad_projection, bad_predicate] {
+            let err = r.engine.scan(table, r.sms.read_snapshot(), &bad);
+            assert!(
+                matches!(err, Err(VortexError::InvalidArgument(_))),
+                "{err:?}"
+            );
+        }
     }
 }
 
@@ -1204,14 +1339,14 @@ mod pushdown_equivalence {
 
     use vortex_common::ids::TableId;
     use vortex_common::row::{Row, RowSet, Value};
-    use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
+    use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
 
-    use super::{rig, Rig};
+    use super::{keys, oracle_scan, rig, Rig};
     use crate::engine::ScanOptions;
     use crate::expr::{CmpOp, Expr};
 
     /// Like the shared test schema but with a nullable float column so
-    /// NULL, NaN and -0.0 flow through both evaluation paths.
+    /// NULL, NaN and -0.0 flow through every evaluation path.
     fn pd_schema() -> Schema {
         Schema::new(vec![
             Field::required("day", FieldType::Int64),
@@ -1223,7 +1358,10 @@ mod pushdown_equivalence {
         .with_clustering(&["customer"])
     }
 
-    fn pd_rows(start: i64, n: usize, seed: i64) -> RowSet {
+    /// Rows `start..start + n`. On CDC tables (`cdc`), every row upserts
+    /// or deletes one of 50 customer keys, so the versions of one key
+    /// spread over days, fragments and storage states.
+    fn pd_rows(start: i64, n: usize, seed: i64, cdc: bool) -> RowSet {
         RowSet::new(
             (0..n)
                 .map(|i| {
@@ -1237,36 +1375,56 @@ mod pushdown_equivalence {
                     } else {
                         Value::Float64((k % 40) as f64 * 0.5)
                     };
-                    Row::insert(vec![
-                        Value::Int64(k / 100),
-                        Value::String(format!("cust-{:04}", (k + seed) % 50)),
-                        Value::Int64(k),
-                        score,
-                    ])
+                    let change = match (cdc, (k + seed) % 9) {
+                        (false, _) => ChangeType::Insert,
+                        (true, 0) => ChangeType::Delete,
+                        (true, _) => ChangeType::Upsert,
+                    };
+                    Row::with_change(
+                        vec![
+                            Value::Int64(k / 100),
+                            Value::String(format!("cust-{:04}", (k + seed) % 50)),
+                            Value::Int64(k),
+                            score,
+                        ],
+                        change,
+                    )
                 })
                 .collect(),
         )
     }
 
-    /// Converted ROS + deletion masks + a fresh unconverted tail: every
-    /// storage state the scan path distinguishes.
-    fn load_mixed(r: &Rig, seed: i64) -> TableId {
-        let t = r.sms.create_table("t", pd_schema()).unwrap();
+    /// Every storage state the scan path distinguishes: converted ROS, a
+    /// finalized WOS fragment never converted, a fresh unconverted tail,
+    /// and (on plain tables) deletion masks that may hit ROS or WOS rows.
+    fn load_mixed(r: &Rig, seed: i64, cdc: bool) -> TableId {
+        let schema = if cdc {
+            pd_schema().with_primary_key(&["customer"])
+        } else {
+            pd_schema()
+        };
+        let t = r.sms.create_table("t", schema).unwrap();
         let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
-        w.append(pd_rows(0, 220, seed)).unwrap();
+        w.append(pd_rows(0, 220, seed, cdc)).unwrap();
         let s = w.stream_id();
         r.sms.finalize_stream(t.table, s).unwrap();
         r.opt.convert_wos(t.table).unwrap();
-        let lo = seed.rem_euclid(180);
-        r.dml
-            .delete_where(
-                t.table,
-                &Expr::ge("amount", Value::Int64(lo))
-                    .and(Expr::lt("amount", Value::Int64(lo + 20))),
-            )
-            .unwrap();
-        let mut w2 = r.client.create_unbuffered_writer(t.table).unwrap();
-        w2.append(pd_rows(220, 30, seed)).unwrap();
+        let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+        w.append(pd_rows(220, 40, seed, cdc)).unwrap();
+        let s = w.stream_id();
+        r.sms.finalize_stream(t.table, s).unwrap();
+        if !cdc {
+            let lo = seed * 45;
+            r.dml
+                .delete_where(
+                    t.table,
+                    &Expr::ge("amount", Value::Int64(lo))
+                        .and(Expr::lt("amount", Value::Int64(lo + 20))),
+                )
+                .unwrap();
+        }
+        let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+        w.append(pd_rows(260, 30, seed, cdc)).unwrap();
         t.table
     }
 
@@ -1293,12 +1451,12 @@ mod pushdown_equivalence {
 
     fn arb_pred() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![
-            (arb_op(), -10i64..260).prop_map(|(op, v)| Expr::Cmp {
+            (arb_op(), -10i64..300).prop_map(|(op, v)| Expr::Cmp {
                 column: "amount".into(),
                 op,
                 value: Value::Int64(v),
             }),
-            (arb_op(), 0i64..3).prop_map(|(op, v)| Expr::Cmp {
+            (arb_op(), 0i64..4).prop_map(|(op, v)| Expr::Cmp {
                 column: "day".into(),
                 op,
                 value: Value::Int64(v),
@@ -1313,7 +1471,7 @@ mod pushdown_equivalence {
                 op,
                 value,
             }),
-            collection::vec(-5i64..255, 0..4)
+            collection::vec(-5i64..295, 0..4)
                 .prop_map(|vs| Expr::is_in("amount", vs.into_iter().map(Value::Int64).collect(),)),
             collection::vec(arb_score_literal(), 1..3).prop_map(|vs| Expr::is_in("score", vs)),
             prop_oneof![Just("day"), Just("customer"), Just("amount"), Just("score")]
@@ -1328,56 +1486,65 @@ mod pushdown_equivalence {
         })
     }
 
-    /// Row identity via the canonical key encoding: `PartialEq` would
-    /// call NaN != NaN and -0.0 == 0.0, hiding real divergence.
-    fn keys(rows: &[(vortex_ros::RowMeta, Row)]) -> Vec<(vortex_ros::RowMeta, Vec<Vec<u8>>)> {
-        rows.iter()
-            .map(|(m, r)| (*m, r.values.iter().map(|v| v.encode_key()).collect()))
-            .collect()
+    /// Regression: a CDC scan used to prune fragments by the predicate
+    /// before merge-on-read, so a key whose newest version lived in a
+    /// pruned fragment came back with a stale version that matched.
+    #[test]
+    fn cdc_scan_sees_versions_the_filter_rejects() {
+        let r = rig();
+        let t = load_mixed(&r, 0, true);
+        let snap = r.sms.read_snapshot();
+        for pred in [
+            Expr::eq("day", Value::Int64(0)),
+            Expr::eq("day", Value::Int64(2)),
+            Expr::lt("amount", Value::Int64(250)),
+        ] {
+            let opts = ScanOptions {
+                predicate: pred,
+                resolve_changes: true,
+                ..ScanOptions::default()
+            };
+            let got = r.engine.scan(t, snap, &opts).unwrap();
+            assert_eq!(got.stats.pruned_by_stats, 0);
+            assert_eq!(keys(&got.rows), keys(&oracle_scan(&r, t, snap, &opts)));
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        // The pushed-down scan (zone maps, dictionary/run-level predicate
-        // evaluation, late materialization) must be indistinguishable
-        // from decode-then-filter: same rows, same order, same row
-        // provenance, same projection nulling, same match count.
+        // The scan pipeline (partition and zone pruning, predicate
+        // evaluation on dictionary codes, runs and decoded rows, late
+        // materialization, merge-on-read) must be indistinguishable from
+        // the oracle's decode-then-filter: same rows, same order, same
+        // row provenance, same projection nulling, same match count.
         #[test]
         fn pushdown_equals_decode_then_filter(
             pred in arb_pred(),
             seed in 0i64..6,
             proj_sel in 0usize..4,
+            cdc in any::<bool>(),
         ) {
             let r = rig();
-            let t = load_mixed(&r, seed);
+            let t = load_mixed(&r, seed, cdc);
             let projection = match proj_sel {
                 0 => None,
                 1 => Some(vec!["amount".to_string()]),
                 2 => Some(vec!["score".to_string(), "customer".to_string()]),
                 _ => Some(vec!["day".to_string(), "amount".to_string()]),
             };
+            let opts = ScanOptions {
+                predicate: pred,
+                projection,
+                resolve_changes: cdc,
+                ..ScanOptions::default()
+            };
             let snap = r.sms.read_snapshot();
-            let on = r
-                .engine
-                .scan(t, snap, &ScanOptions {
-                    predicate: pred.clone(),
-                    projection: projection.clone(),
-                    ..ScanOptions::default()
-                })
-                .unwrap();
-            let off = r
-                .engine
-                .scan(t, snap, &ScanOptions {
-                    predicate: pred,
-                    projection,
-                    pushdown: false,
-                    ..ScanOptions::default()
-                })
-                .unwrap();
-            prop_assert_eq!(keys(&on.rows), keys(&off.rows));
-            prop_assert_eq!(on.stats.rows_matched, off.stats.rows_matched);
-            prop_assert_eq!(on.schema.fields.len(), off.schema.fields.len());
+            let got = r.engine.scan(t, snap, &opts).unwrap();
+            let want = oracle_scan(&r, t, snap, &opts);
+            prop_assert_eq!(keys(&got.rows), keys(&want));
+            prop_assert_eq!(got.stats.rows_matched, want.len() as u64);
+            prop_assert_eq!(got.schema.fields.len(), pd_schema().fields.len());
         }
     }
 }

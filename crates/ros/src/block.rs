@@ -776,4 +776,44 @@ mod tests {
         assert!(b.push(meta(0), Row::insert(vec![Value::Int64(1)])).is_err());
         assert_eq!(b.len(), 0);
     }
+
+    /// Blocks naming a retired encoding tag (1: flat dictionary, 2: flat
+    /// run-length) are rejected as corrupt input, not decoded or panicked
+    /// on.
+    #[test]
+    fn retired_encoding_tags_rejected() {
+        let block = build_block(10);
+        let key = Key::derive_from_passphrase("k");
+        let sealed = block.to_bytes(&key, 1);
+        let mut plain = sealed[..sealed.len() - 4].to_vec();
+        apply_keystream(&key, &Nonce::for_block(1, u32::MAX), &mut plain);
+        // The column directory's first entry starts where the directory
+        // and the chunk payloads that follow it begin.
+        let tail: usize = block
+            .cols
+            .iter()
+            .flatten()
+            .map(|c| {
+                let mut len = Vec::new();
+                put_uvarint(&mut len, c.bytes.len() as u64);
+                2 + len.len() + c.stats.to_bytes().len() + c.bytes.len()
+            })
+            .sum();
+        let at = plain.len() - tail;
+        assert_eq!(plain[at], block.cols[0][0].enc.to_u8());
+        for tag in [1u8, 2] {
+            let mut patched = plain.clone();
+            patched[at] = tag;
+            apply_keystream(&key, &Nonce::for_block(1, u32::MAX), &mut patched);
+            let crc = crc32c(&patched);
+            patched.extend_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(
+                    RosBlock::from_bytes(&patched, &key, 1),
+                    Err(VortexError::Decode(m)) if m == format!("bad encoding {tag}")
+                ),
+                "tag {tag}"
+            );
+        }
+    }
 }

@@ -4,10 +4,10 @@
 //! optimized for data processing. Typically, this is a columnar format"
 //! (§5.1). BigQuery managed tables use Capacitor, BigLake tables use
 //! Parquet; this crate is the from-scratch stand-in for both: a columnar
-//! block with per-column adaptive encodings (plain / dictionary /
-//! run-length), per-column min/max properties, a bloom filter over the
-//! partitioning and clustering keys, whole-block compression and
-//! encryption, and an end-of-file CRC.
+//! block with per-column cascading encodings (plain, bit-packed, ALP,
+//! FSST, dictionary, run-length), per-column and per-zone min/max
+//! properties, a bloom filter over the partitioning and clustering keys,
+//! whole-block compression and encryption, and an end-of-file CRC.
 //!
 //! Each row carries its provenance ([`RowMeta`]): the source stream, the
 //! streamlet row offset, the server-assigned TrueTime timestamp, and the

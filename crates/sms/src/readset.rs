@@ -56,6 +56,21 @@ pub struct FragmentReadSpec {
     pub streamlet_first_stream_row: u64,
 }
 
+impl FragmentReadSpec {
+    /// Whether fragment-relative row `pos` is visible: below the BUFFERED
+    /// flush limit and not DML-deleted. The one row-visibility rule every
+    /// fragment reader applies; WOS readers additionally stop at the
+    /// first block stamped after their snapshot (§7.1).
+    #[inline]
+    pub fn row_visible(&self, pos: u64) -> bool {
+        let flushed = match self.visibility.flush_limit {
+            Some(limit) => self.meta.first_row + pos < limit,
+            None => true,
+        };
+        flushed && !self.mask.contains(pos)
+    }
+}
+
 /// One unfinalized streamlet whose tail may hold rows the SMS hasn't
 /// heard about yet.
 #[derive(Debug, Clone)]
