@@ -32,8 +32,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::TableId;
-use vortex_common::obs;
 use vortex_common::rpc::{CallCtx, RpcInterceptor, WorkClass};
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::Timestamp;
 
 pub mod bucket;
@@ -169,6 +169,9 @@ pub struct AdmissionController {
     cfg: AdmissionConfig,
     inner: Mutex<Inner>,
     counters: ClassCounters,
+    /// The region runtime whose registry the `admission.*` metrics
+    /// land in.
+    rt: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for AdmissionController {
@@ -181,8 +184,8 @@ impl std::fmt::Debug for AdmissionController {
 
 impl AdmissionController {
     /// Builds a controller (wrap in `Arc` via this constructor so it can
-    /// be installed on multiple channels).
-    pub fn new(cfg: AdmissionConfig) -> Arc<Self> {
+    /// be installed on multiple channels). Metrics go to `rt`.
+    pub fn new(cfg: AdmissionConfig, rt: Arc<Runtime>) -> Arc<Self> {
         let limiter = AimdLimiter::new(cfg.aimd.clone());
         Arc::new(AdmissionController {
             cfg,
@@ -192,6 +195,7 @@ impl AdmissionController {
                 limiter,
             }),
             counters: ClassCounters::default(),
+            rt,
         })
     }
 
@@ -224,24 +228,23 @@ impl AdmissionController {
     fn record_admit(&self, class: WorkClass, queued_us: u64) {
         let i = class.index();
         self.counters.admitted[i].fetch_add(1, Ordering::Relaxed);
-        obs::global()
-            .counter(&format!("admission.admitted.{}", class.name()))
+        let m = self.rt.metrics();
+        m.counter(&format!("admission.admitted.{}", class.name()))
             .inc();
         if queued_us > 0 {
             self.counters.queued[i].fetch_add(1, Ordering::Relaxed);
             self.counters.queued_us[i].fetch_add(queued_us, Ordering::Relaxed);
-            obs::global()
-                .counter(&format!("admission.queued.{}", class.name()))
+            m.counter(&format!("admission.queued.{}", class.name()))
                 .inc();
-            obs::global()
-                .histogram(&format!("admission.queue_wait.{}.us", class.name()))
+            m.histogram(&format!("admission.queue_wait.{}.us", class.name()))
                 .record(queued_us);
         }
     }
 
     fn record_shed(&self, class: WorkClass) {
         self.counters.shed[class.index()].fetch_add(1, Ordering::Relaxed);
-        obs::global()
+        self.rt
+            .metrics()
             .counter(&format!("admission.shed.{}", class.name()))
             .inc();
     }
@@ -340,7 +343,7 @@ impl RpcInterceptor for AdmissionController {
         let limit = inner.limiter.limit();
         drop(inner);
         self.record_admit(class, wait);
-        let g = obs::global();
+        let g = self.rt.metrics();
         g.gauge("admission.in_flight").set(in_flight as i64);
         g.gauge("admission.limit").set(limit as i64);
         g.gauge(&format!("admission.queue_depth.{}.us", class.name()))
@@ -353,7 +356,8 @@ impl RpcInterceptor for AdmissionController {
         inner.limiter.release();
         let in_flight = inner.limiter.in_flight();
         drop(inner);
-        obs::global()
+        self.rt
+            .metrics()
             .gauge("admission.in_flight")
             .set(in_flight as i64);
     }
@@ -397,7 +401,7 @@ mod tests {
 
     #[test]
     fn default_config_admits_everything_instantly() {
-        let c = AdmissionController::new(AdmissionConfig::default());
+        let c = AdmissionController::new(AdmissionConfig::default(), Runtime::new());
         for i in 0..1_000u64 {
             let q = c
                 .admit(
@@ -418,7 +422,7 @@ mod tests {
 
     #[test]
     fn background_sheds_first_interactive_queues() {
-        let c = AdmissionController::new(quota_cfg());
+        let c = AdmissionController::new(quota_cfg(), Runtime::new());
         // Drain the burst (10 requests) at t=0.
         for _ in 0..10 {
             c.admit(
@@ -475,7 +479,7 @@ mod tests {
 
     #[test]
     fn queue_is_deadline_aware() {
-        let c = AdmissionController::new(quota_cfg());
+        let c = AdmissionController::new(quota_cfg(), Runtime::new());
         for _ in 0..10 {
             c.admit(
                 "s",
@@ -505,7 +509,7 @@ mod tests {
 
     #[test]
     fn shed_does_not_drain_quota() {
-        let c = AdmissionController::new(quota_cfg());
+        let c = AdmissionController::new(quota_cfg(), Runtime::new());
         for _ in 0..10 {
             c.admit(
                 "s",
@@ -537,7 +541,7 @@ mod tests {
 
     #[test]
     fn tenants_get_independent_buckets() {
-        let c = AdmissionController::new(quota_cfg());
+        let c = AdmissionController::new(quota_cfg(), Runtime::new());
         let t1 = CallCtx {
             tenant: 1,
             ..CallCtx::DEFAULT
@@ -570,7 +574,7 @@ mod tests {
             },
             ..AdmissionConfig::default()
         };
-        let c = AdmissionController::new(cfg);
+        let c = AdmissionController::new(cfg, Runtime::new());
         let tctx = CallCtx {
             table: Some(TableId::from_raw(7)),
             class: WorkClass::Background,
@@ -613,7 +617,7 @@ mod tests {
             },
             ..AdmissionConfig::default()
         };
-        let c = AdmissionController::new(cfg);
+        let c = AdmissionController::new(cfg, Runtime::new());
         for _ in 0..100 {
             c.admit(
                 "s",
@@ -632,7 +636,7 @@ mod tests {
 
     #[test]
     fn disabled_controller_is_transparent() {
-        let c = AdmissionController::new(AdmissionConfig::disabled());
+        let c = AdmissionController::new(AdmissionConfig::disabled(), Runtime::new());
         for _ in 0..1_000 {
             let q = c
                 .admit(
@@ -660,7 +664,7 @@ mod tests {
             },
             ..AdmissionConfig::default()
         };
-        let c = AdmissionController::new(cfg);
+        let c = AdmissionController::new(cfg, Runtime::new());
         c.admit(
             "s",
             "m",

@@ -38,6 +38,7 @@ use vortex_common::ids::{ClusterId, IdGen, ServerId, StreamId, StreamletId, Tabl
 use vortex_common::latency::{Percentiles, WriteProfile};
 use vortex_common::obs;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_server::hosted::{HostedStreamlet, WriteTuning};
@@ -121,6 +122,7 @@ struct PointResult {
 /// block until the append's ack resolves and return its virtual
 /// completion.
 fn run_point(
+    rt: &Runtime,
     arm: &'static str,
     rate: u64,
     iters: usize,
@@ -128,7 +130,7 @@ fn run_point(
     append: impl Fn(usize, &RowSet, Timestamp) -> AppendAck + Sync,
 ) -> PointResult {
     let append = &append;
-    let shed_counter = obs::global().counter(obs::SHARD_MAILBOX_SHED);
+    let shed_counter = rt.metrics().counter(obs::SHARD_MAILBOX_SHED);
     let shed_before = shed_counter.get();
     let per_thread: Vec<(Vec<u64>, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..STREAMLETS * PIPELINE)
@@ -206,7 +208,7 @@ impl LockedArm {
     // Named to stay out of the hot-path analyzer's name-resolved call
     // graph: `new`/`append` would alias the workspace hot roots and drag
     // this bench-local lock into the L010/L011 reachability sets.
-    fn bring_up(seed: u64) -> Self {
+    fn bring_up(seed: u64, rt: &Arc<Runtime>) -> Self {
         let clock = SimClock::new(BASE_US);
         let tt = TrueTime::simulated(clock, 100, 0);
         let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::paper_colossus(), seed);
@@ -215,7 +217,8 @@ impl LockedArm {
         let streamlets = (0..STREAMLETS)
             .map(|i| {
                 Mutex::new(
-                    HostedStreamlet::open(spec(10 + i as u64, &key), &ids, &fleet, &tt).unwrap(),
+                    HostedStreamlet::open(spec(10 + i as u64, &key), &ids, &fleet, &tt, rt)
+                        .unwrap(),
                 )
             })
             .collect();
@@ -224,6 +227,7 @@ impl LockedArm {
                 ServerId::from_raw(1),
                 0,
                 fleet.get(ClusterId::from_raw(0)).unwrap(),
+                Arc::clone(rt),
             )
             .unwrap(),
         );
@@ -270,14 +274,14 @@ impl LockedArm {
     }
 }
 
-fn sharded_server(seed: u64) -> Arc<StreamServer> {
+fn sharded_server(seed: u64, rt: &Arc<Runtime>) -> Arc<StreamServer> {
     let clock = SimClock::new(BASE_US);
     let tt = TrueTime::simulated(clock, 100, 0);
     let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::paper_colossus(), seed);
     let ids = Arc::new(IdGen::new(1));
     let key = Key::derive_from_passphrase("c10");
     let cfg = ServerConfig::new(ServerId::from_raw(1), ClusterId::from_raw(0));
-    let server = StreamServer::new(cfg, fleet, tt, ids).unwrap();
+    let server = StreamServer::new(cfg, fleet, tt, ids, Arc::clone(rt)).unwrap();
     for i in 0..STREAMLETS {
         server.create_streamlet(spec(10 + i as u64, &key)).unwrap();
     }
@@ -312,14 +316,21 @@ fn main() {
         "arm", "rate/sl /s", "acked", "ops/s", "p50 ms", "p99 ms", "shed"
     );
 
+    // One runtime for the whole sweep: every point's metrics accumulate
+    // in its registry.
+    let rt = Runtime::new();
     let shard_counters: Vec<_> = (0..8)
-        .map(|i| obs::global().counter(&format!("{}{i:02}.appends", obs::SHARD_APPENDS_PREFIX)))
+        .map(|i| {
+            rt.metrics()
+                .counter(&format!("{}{i:02}.appends", obs::SHARD_APPENDS_PREFIX))
+        })
         .collect();
 
     let mut points: Vec<PointResult> = Vec::new();
     for (ri, &rate) in RATES.iter().enumerate() {
-        let locked = LockedArm::bring_up(0xC10 + ri as u64);
+        let locked = LockedArm::bring_up(0xC10 + ri as u64, &rt);
         let p = run_point(
+            &rt,
             "locked",
             rate,
             iters,
@@ -329,8 +340,9 @@ fn main() {
         print_point(&p);
         points.push(p);
 
-        let server = sharded_server(0x5C10 + ri as u64);
+        let server = sharded_server(0x5C10 + ri as u64, &rt);
         let p = run_point(
+            &rt,
             "sharded",
             rate,
             iters,
@@ -368,9 +380,7 @@ fn main() {
     // Group-commit batch sizes across every sharded point (the locked
     // arm never touches the shard loop, so this histogram is cleanly
     // sharded-only), and the per-shard routing balance.
-    let groups = obs::global()
-        .histogram(obs::GROUP_COMMIT_APPENDS)
-        .snapshot();
+    let groups = rt.metrics().histogram(obs::GROUP_COMMIT_APPENDS).snapshot();
     println!(
         "group-commit appends/group: mean {:.2} {groups}",
         groups.mean()

@@ -33,6 +33,7 @@ use rand::{Rng, SeedableRng};
 use vortex_colossus::Colossus;
 use vortex_common::ids::ClusterId;
 use vortex_common::latency::WriteProfile;
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::{SimClock, TrueTime};
 use vortex_metastore::MetaStore;
 
@@ -71,7 +72,7 @@ fn churn_commit(store: &Arc<MetaStore>, rng: &mut StdRng, i: usize) {
 /// (or not), then lays down `TAIL` more commits — the pre-crash state.
 fn build(seed: u64, history: usize, checkpoint: bool) -> Arc<Colossus> {
     let cluster = mem_cluster(seed);
-    let (store, _) = MetaStore::recover(tt(), &cluster).unwrap();
+    let (store, _) = MetaStore::recover(tt(), &cluster, Runtime::new()).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..history {
         churn_commit(&store, &mut rng, i);
@@ -104,12 +105,12 @@ fn time_recovery(arm: &'static str, history: usize, cluster: &Arc<Colossus>) -> 
         .map(|_| {
             // lint:allow(L001, bench measures real recovery wall-clock, not simulated time)
             let start = Instant::now();
-            let (_store, _rep) = MetaStore::recover(tt(), cluster).unwrap();
+            let (_store, _rep) = MetaStore::recover(tt(), cluster, Runtime::new()).unwrap();
             start.elapsed().as_micros() as u64
         })
         .collect();
     times.sort_unstable();
-    let (_, rep) = MetaStore::recover(tt(), cluster).unwrap();
+    let (_, rep) = MetaStore::recover(tt(), cluster, Runtime::new()).unwrap();
     PointResult {
         arm,
         history,

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use vortex_colossus::StorageFleet;
 use vortex_common::error::VortexResult;
 use vortex_common::ids::{StreamId, TableId};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::api::SmsHandle;
@@ -25,16 +26,19 @@ pub struct VortexClient {
     sms: SmsHandle,
     fleet: StorageFleet,
     tt: TrueTime,
+    rt: Arc<Runtime>,
     cache: Option<Arc<crate::cache::ReadCache>>,
 }
 
 impl VortexClient {
-    /// Creates a client over a region's control plane and storage fleet.
-    pub fn new(sms: SmsHandle, fleet: StorageFleet, tt: TrueTime) -> Self {
+    /// Creates a client over a region's control plane and storage fleet,
+    /// recording its metrics into `rt`.
+    pub fn new(sms: SmsHandle, fleet: StorageFleet, tt: TrueTime, rt: Arc<Runtime>) -> Self {
         Self {
             sms,
             fleet,
             tt,
+            rt,
             cache: None,
         }
     }
@@ -66,6 +70,11 @@ impl VortexClient {
         &self.tt
     }
 
+    /// The region runtime this client (and its writers) record into.
+    pub fn runtime(&self) -> &Arc<Runtime> {
+        &self.rt
+    }
+
     /// Creates a table.
     pub fn create_table(&self, name: &str, schema: Schema) -> VortexResult<TableMeta> {
         self.sms.create_table(name, schema)
@@ -90,7 +99,13 @@ impl VortexClient {
     /// `CreateStream` + writer (§4.2.1). The default options give an
     /// UNBUFFERED stream with exactly-once offsets.
     pub fn create_writer(&self, table: TableId, opts: WriterOptions) -> VortexResult<StreamWriter> {
-        StreamWriter::create(Arc::clone(&self.sms), self.tt.clone(), table, opts)
+        StreamWriter::create(
+            Arc::clone(&self.sms),
+            self.tt.clone(),
+            Arc::clone(&self.rt),
+            table,
+            opts,
+        )
     }
 
     /// Convenience: an UNBUFFERED exactly-once writer.

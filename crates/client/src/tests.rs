@@ -7,6 +7,7 @@ use vortex_common::error::VortexError;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{Field, FieldType, Schema};
 use vortex_common::truetime::{SimClock, TrueTime};
 use vortex_metastore::MetaStore;
@@ -34,12 +35,14 @@ pub(crate) fn rig_with_profile(profile: WriteProfile) -> Rig {
     let fleet = StorageFleet::with_mem_clusters(2, profile, 11);
     let store = MetaStore::new(tt.clone());
     let ids = Arc::new(IdGen::new(1));
+    let rt = Runtime::new();
     let sms = SmsTask::new(
         SmsConfig::new(SmsTaskId::from_raw(0), ClusterId::from_raw(0)),
         store,
         fleet.clone(),
         tt.clone(),
         Arc::clone(&ids),
+        Arc::clone(&rt),
         None,
     );
     let mut servers = vec![];
@@ -49,6 +52,7 @@ pub(crate) fn rig_with_profile(profile: WriteProfile) -> Rig {
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
         )
         .unwrap();
         sms.register_server(server.clone());
@@ -56,7 +60,7 @@ pub(crate) fn rig_with_profile(profile: WriteProfile) -> Rig {
     }
     let handle: vortex_sms::api::SmsHandle = sms.clone();
     Rig {
-        client: VortexClient::new(handle, fleet.clone(), tt),
+        client: VortexClient::new(handle, fleet.clone(), tt, Arc::clone(&rt)),
         fleet,
         clock,
         servers,

@@ -2,12 +2,14 @@
 //! schema-evolution-aware appends (§4.2, §5.4).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{StreamId, TableId};
 use vortex_common::obs;
 use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::rpc::table_scope;
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::api::SmsHandle;
@@ -67,6 +69,7 @@ pub struct AppendResult {
 pub struct StreamWriter {
     sms: SmsHandle,
     tt: TrueTime,
+    rt: Arc<Runtime>,
     table: TableId,
     handle: StreamHandle,
     schema: Schema,
@@ -86,10 +89,11 @@ pub struct StreamWriter {
 
 impl StreamWriter {
     /// Creates a stream of the requested type on `table` and returns a
-    /// writer for it.
+    /// writer for it. The writer's metrics go to `rt`.
     pub fn create(
         sms: SmsHandle,
         tt: TrueTime,
+        rt: Arc<Runtime>,
         table: TableId,
         opts: WriterOptions,
     ) -> VortexResult<Self> {
@@ -111,6 +115,7 @@ impl StreamWriter {
             submitted: BTreeMap::new(), // lint:allow(L010, writer-construction ledger init; hot edge is a name-resolved fs `create`)
             sms,
             tt,
+            rt,
             table,
             handle,
             opts,
@@ -233,12 +238,12 @@ impl StreamWriter {
                     self.last_completion = self.last_completion.max(ack.completion);
                     // Client leg of the append span: send → durable ack,
                     // in virtual time (§4.2.2 ack path).
-                    let m = obs::global();
+                    let m = self.rt.metrics();
                     m.counter("append.client.calls").inc();
                     m.counter("append.client.rows").add(ack.row_count);
                     m.counter("append.client.retries")
                         .add((rotations + schema_refetches) as u64);
-                    obs::Span::begin("append.client", now).end(ack.completion);
+                    obs::Span::begin("append.client", now).end_into(m, ack.completion);
                     return Ok(AppendResult {
                         row_offset: ack.first_stream_row,
                         row_count: ack.row_count,
@@ -262,7 +267,7 @@ impl StreamWriter {
                     self.next_offset = expected;
                     self.evict_acked();
                     self.transport.on_response();
-                    let m = obs::global();
+                    let m = self.rt.metrics();
                     m.counter("append.client.calls").inc();
                     m.counter("append.client.dedup").inc();
                     return Ok(AppendResult {
@@ -296,7 +301,7 @@ impl StreamWriter {
                     // in place; the channel honors the server's
                     // retry_after hint between attempts.
                     throttle_retries += 1;
-                    obs::global().counter("append.client.throttled").inc();
+                    self.rt.metrics().counter("append.client.throttled").inc();
                 }
                 Err(e) if e.is_retryable() && rotations < self.max_rotate_retries => {
                     // §5.4: finalize the current streamlet, obtain a new
@@ -329,7 +334,7 @@ impl StreamWriter {
                         self.next_offset = reconciled;
                         self.evict_acked();
                         self.transport.on_response();
-                        let m = obs::global();
+                        let m = self.rt.metrics();
                         m.counter("append.client.calls").inc();
                         m.counter("append.client.dedup").inc();
                         return Ok(AppendResult {

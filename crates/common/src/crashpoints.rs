@@ -5,9 +5,9 @@
 //! the *worst possible instruction* and the system still recovers to an
 //! exactly-once state. This module makes that claim testable in-process:
 //! durable-write paths are annotated with *named* crash points
-//! (`crash_point!("server.append.pre_ack")`), and a test arms a point
-//! with a seeded deterministic trigger — fire on the Nth hit, or fire
-//! per-mille of hits. A firing point returns
+//! (`crash_point!(self.rt, "server.append.pre_ack")`), and a test arms a
+//! point with a seeded deterministic trigger — fire on the Nth hit, or
+//! fire per-mille of hits. A firing point returns
 //! [`VortexError::SimulatedCrash`], which is deliberately **not**
 //! retryable: internal retry loops must let it unwind to the component's
 //! service boundary (the RPC channel wrappers in `vortex-sms::api`),
@@ -15,9 +15,14 @@
 //! `Unavailable` for remote callers — exactly as if the process had been
 //! killed at that instruction. No Rust panic is ever raised.
 //!
-//! With no point armed, the check on the append hot path is a single
-//! relaxed atomic load (see [`check`]), so the framework adds no
-//! measurable overhead to production-shaped benches.
+//! Each region owns one [`CrashPlan`] inside its
+//! [`Runtime`](crate::runtime::Runtime); every component the region
+//! builds checks that plan, and tests arm points through the region
+//! (`region.crash_points().arm_permille(..)`). Two regions in one process
+//! therefore never see each other's armed points or fires. With no point
+//! armed, the check on the append hot path is a single relaxed atomic
+//! load (see [`CrashPlan::check`]), so the framework adds no measurable
+//! overhead to production-shaped benches.
 //!
 //! Naming convention: `component.operation.moment`, lowercase, dot
 //! separated (e.g. `sms.open_streamlet.post_txn`). Every name used in a
@@ -26,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -68,26 +73,19 @@ pub const REGISTRY: &[&str] = &[
     // Metastore: mid-way through appending a commit's WAL frame (§5.1)
     // — a torn prefix of the record lands, the commit is never acked,
     // and recovery must truncate the tail without losing earlier acks.
-    // (Direct `crashpoints::check` site: the torn prefix is written
+    // (Direct `CrashPlan::check` site: the torn prefix is written
     // manually before the error propagates.)
     "meta.wal.mid_append",
     // Metastore: mid-way through writing a new checkpoint file, before
     // any pointer update — the torn candidate must be ignored and the
     // previously published checkpoint must keep recovery working.
-    // (Direct `crashpoints::check` site, as above.)
+    // (Direct `CrashPlan::check` site, as above.)
     "meta.checkpoint.mid_write",
     // Metastore: after the new checkpoint file is fully durable but
     // before the version-pointer CAS publishes it — recovery must keep
     // using the old checkpoint plus a longer WAL tail.
     "meta.checkpoint.pre_publish",
 ];
-
-/// Number of currently armed points. The disarmed fast path is a single
-/// relaxed load of this counter.
-static ARMED_POINTS: AtomicUsize = AtomicUsize::new(0);
-
-/// Total fires across all points since process start (survives disarm).
-static TOTAL_FIRES: AtomicU64 = AtomicU64::new(0);
 
 /// Trigger state for one armed point.
 #[derive(Debug, Default)]
@@ -105,62 +103,126 @@ struct ArmState {
     fired: AtomicU64,
 }
 
-fn plan() -> &'static RwLock<HashMap<String, Arc<ArmState>>> {
-    static PLAN: OnceLock<RwLock<HashMap<String, Arc<ArmState>>>> = OnceLock::new();
-    PLAN.get_or_init(Default::default)
+/// One region's crash-point plan: which points are armed, with which
+/// triggers, and how often they fired. Owned by the region's
+/// [`Runtime`](crate::runtime::Runtime), so arming a point in one region
+/// never perturbs another region in the same process.
+#[derive(Debug, Default)]
+pub struct CrashPlan {
+    /// Number of currently armed points. The disarmed fast path is a
+    /// single relaxed load of this counter.
+    armed: AtomicUsize,
+    /// Total fires across all points of this plan (survives disarm).
+    fires: AtomicU64,
+    points: RwLock<HashMap<String, Arc<ArmState>>>,
 }
 
-/// Checks a crash point: `Ok(())` to continue, or
-/// [`VortexError::SimulatedCrash`] if an armed trigger decided this is
-/// the instruction at which the process dies.
-///
-/// Call sites should use the [`crash_point!`](crate::crash_point) macro,
-/// which `?`-propagates the error. With nothing armed anywhere this is
-/// one relaxed atomic load.
-#[inline]
-pub fn check(name: &'static str) -> VortexResult<()> {
-    if ARMED_POINTS.load(Ordering::Relaxed) == 0 {
-        return Ok(());
+impl CrashPlan {
+    /// Checks a crash point: `Ok(())` to continue, or
+    /// [`VortexError::SimulatedCrash`] if an armed trigger decided this
+    /// is the instruction at which the process dies.
+    ///
+    /// Call sites should use the [`crash_point!`](crate::crash_point)
+    /// macro, which `?`-propagates the error. With nothing armed in this
+    /// plan this is one relaxed atomic load.
+    #[inline]
+    pub fn check(&self, name: &'static str) -> VortexResult<()> {
+        if self.armed.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        self.check_armed(name)
     }
-    check_armed(name)
-}
 
-#[inline(never)]
-fn check_armed(name: &str) -> VortexResult<()> {
-    // lint:allow(L011, reached only when a test armed at least one point; production traffic takes the relaxed-load fast path in check)
-    let Some(state) = plan().read().get(name).cloned() else {
-        return Ok(());
-    };
-    state.hits.fetch_add(1, Ordering::Relaxed);
-    // Fire-on-Nth-hit: decrement the countdown; firing on the hit that
-    // takes it to zero. CAS loop so concurrent hits each consume one.
-    let mut c = state.countdown.load(Ordering::SeqCst);
-    while c > 0 {
-        match state
-            .countdown
-            .compare_exchange(c, c - 1, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => {
-                if c == 1 {
-                    return Err(fire(name, &state));
+    #[inline(never)]
+    fn check_armed(&self, name: &str) -> VortexResult<()> {
+        // lint:allow(L011, reached only when a test armed at least one point; production traffic takes the relaxed-load fast path in check)
+        let Some(state) = self.points.read().get(name).cloned() else {
+            return Ok(());
+        };
+        state.hits.fetch_add(1, Ordering::Relaxed);
+        // Fire-on-Nth-hit: decrement the countdown; firing on the hit
+        // that takes it to zero. CAS loop so concurrent hits each
+        // consume one.
+        let mut c = state.countdown.load(Ordering::SeqCst);
+        while c > 0 {
+            match state
+                .countdown
+                .compare_exchange(c, c - 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => {
+                    if c == 1 {
+                        return Err(self.fire(name, &state));
+                    }
+                    break;
                 }
-                break;
+                Err(cur) => c = cur,
             }
-            Err(cur) => c = cur,
+        }
+        let pm = state.permille.load(Ordering::Relaxed);
+        if pm > 0 && roll_permille(&state.rng) < pm {
+            return Err(self.fire(name, &state));
+        }
+        Ok(())
+    }
+
+    fn fire(&self, name: &str, state: &ArmState) -> VortexError {
+        state.fired.fetch_add(1, Ordering::Relaxed);
+        self.fires.fetch_add(1, Ordering::Relaxed);
+        // lint:allow(L010, fires only when a test has armed the point; the process is about to simulate death)
+        VortexError::SimulatedCrash(name.to_string())
+    }
+
+    fn arm(&self, name: &str, state: ArmState) -> CrashGuard<'_> {
+        let prev = self
+            .points
+            .write()
+            .insert(name.to_string(), Arc::new(state));
+        if prev.is_none() {
+            self.armed.fetch_add(1, Ordering::SeqCst);
+        }
+        CrashGuard {
+            plan: self,
+            name: name.to_string(),
         }
     }
-    let pm = state.permille.load(Ordering::Relaxed);
-    if pm > 0 && roll_permille(&state.rng) < pm {
-        return Err(fire(name, &state));
-    }
-    Ok(())
-}
 
-fn fire(name: &str, state: &ArmState) -> VortexError {
-    state.fired.fetch_add(1, Ordering::Relaxed);
-    TOTAL_FIRES.fetch_add(1, Ordering::Relaxed);
-    // lint:allow(L010, fires only when a test has armed the point; the process is about to simulate death)
-    VortexError::SimulatedCrash(name.to_string())
+    /// Arms `name` to fire exactly once, on its `nth` hit (1-based;
+    /// `nth == 1` fires on the next hit). Re-arming a point replaces its
+    /// triggers and counters.
+    pub fn arm_nth(&self, name: &str, nth: u64) -> CrashGuard<'_> {
+        self.arm(
+            name,
+            ArmState {
+                countdown: AtomicU64::new(nth.max(1)),
+                ..ArmState::default()
+            },
+        )
+    }
+
+    /// Arms `name` to fire on `permille`‰ of hits, decided by a
+    /// deterministic generator seeded with `seed`.
+    pub fn arm_permille(&self, name: &str, permille: u64, seed: u64) -> CrashGuard<'_> {
+        self.arm(
+            name,
+            ArmState {
+                permille: AtomicU64::new(permille.min(1000)),
+                // Scramble so adjacent seeds give unrelated sequences (a
+                // plain `seed | 1` would alias 2k and 2k+1).
+                rng: AtomicU64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
+                ..ArmState::default()
+            },
+        )
+    }
+
+    /// Total fires across every point of this plan. Soaks assert this
+    /// moved to prove the crash axis was actually exercised.
+    pub fn fires(&self) -> u64 {
+        self.fires.load(Ordering::Relaxed)
+    }
+
+    fn stat_of(&self, name: &str, f: impl Fn(&ArmState) -> u64) -> u64 {
+        self.points.read().get(name).map(|s| f(s)).unwrap_or(0)
+    }
 }
 
 /// One deterministic xorshift* step over shared atomic state, yielding a
@@ -180,15 +242,15 @@ fn roll_permille(state: &AtomicU64) -> u64 {
 }
 
 /// Scope guard for an armed crash point: dropping it disarms the point,
-/// so a test cannot leak an armed trigger into later tests in the same
-/// process.
+/// so a test cannot leak an armed trigger past its scope.
 #[must_use = "dropping the guard disarms the crash point"]
 #[derive(Debug)]
-pub struct CrashGuard {
+pub struct CrashGuard<'a> {
+    plan: &'a CrashPlan,
     name: String,
 }
 
-impl CrashGuard {
+impl CrashGuard<'_> {
     /// The armed point's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -196,70 +258,24 @@ impl CrashGuard {
 
     /// Times the point was reached while armed.
     pub fn hits(&self) -> u64 {
-        stat_of(&self.name, |s| s.hits.load(Ordering::Relaxed))
+        self.plan
+            .stat_of(&self.name, |s| s.hits.load(Ordering::Relaxed))
     }
 
     /// Times the point fired while armed.
     pub fn fires(&self) -> u64 {
-        stat_of(&self.name, |s| s.fired.load(Ordering::Relaxed))
+        self.plan
+            .stat_of(&self.name, |s| s.fired.load(Ordering::Relaxed))
     }
 }
 
-impl Drop for CrashGuard {
+impl Drop for CrashGuard<'_> {
     fn drop(&mut self) {
-        let removed = plan().write().remove(&self.name);
+        let removed = self.plan.points.write().remove(&self.name);
         if removed.is_some() {
-            ARMED_POINTS.fetch_sub(1, Ordering::SeqCst);
+            self.plan.armed.fetch_sub(1, Ordering::SeqCst);
         }
     }
-}
-
-fn stat_of(name: &str, f: impl Fn(&ArmState) -> u64) -> u64 {
-    plan().read().get(name).map(|s| f(s)).unwrap_or(0)
-}
-
-fn arm(name: &str, state: ArmState) -> CrashGuard {
-    let prev = plan().write().insert(name.to_string(), Arc::new(state));
-    if prev.is_none() {
-        ARMED_POINTS.fetch_add(1, Ordering::SeqCst);
-    }
-    CrashGuard {
-        name: name.to_string(),
-    }
-}
-
-/// Arms `name` to fire exactly once, on its `nth` hit (1-based; `nth ==
-/// 1` fires on the next hit). Re-arming a point replaces its triggers
-/// and counters.
-pub fn arm_nth(name: &str, nth: u64) -> CrashGuard {
-    arm(
-        name,
-        ArmState {
-            countdown: AtomicU64::new(nth.max(1)),
-            ..ArmState::default()
-        },
-    )
-}
-
-/// Arms `name` to fire on `permille`‰ of hits, decided by a
-/// deterministic generator seeded with `seed`.
-pub fn arm_permille(name: &str, permille: u64, seed: u64) -> CrashGuard {
-    arm(
-        name,
-        ArmState {
-            permille: AtomicU64::new(permille.min(1000)),
-            // Scramble so adjacent seeds give unrelated sequences (a
-            // plain `seed | 1` would alias 2k and 2k+1).
-            rng: AtomicU64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            ..ArmState::default()
-        },
-    )
-}
-
-/// Total fires across every point since process start. Soaks assert
-/// this moved to prove the crash axis was actually exercised.
-pub fn total_fires() -> u64 {
-    TOTAL_FIRES.load(Ordering::Relaxed)
 }
 
 /// Whether `name` is in the compiled-in [`REGISTRY`].
@@ -267,14 +283,15 @@ pub fn is_registered(name: &str) -> bool {
     REGISTRY.contains(&name)
 }
 
-/// Annotates a durable-write path with a named crash point.
+/// Annotates a durable-write path with a named crash point, checked
+/// against the crash plan of the component's
+/// [`Runtime`](crate::runtime::Runtime).
 ///
-/// Expands to a `?`-propagated [`crashpoints::check`](crate::crashpoints::check),
-/// so the enclosing function must return
-/// [`VortexResult`](crate::VortexResult). Example:
+/// Expands to a `?`-propagated [`CrashPlan::check`], so the enclosing
+/// function must return [`VortexResult`](crate::VortexResult). Example:
 ///
 /// ```ignore
-/// vortex_common::crash_point!("server.append.pre_ack");
+/// vortex_common::crash_point!(self.rt, "server.append.pre_ack");
 /// ```
 ///
 /// The name must be a string literal that is unique across the
@@ -282,46 +299,49 @@ pub fn is_registered(name: &str) -> bool {
 /// [`crashpoints::REGISTRY`](crate::crashpoints::REGISTRY) (lint L007).
 #[macro_export]
 macro_rules! crash_point {
-    ($name:literal) => {
-        $crate::crashpoints::check($name)?
+    ($rt:expr, $name:literal) => {
+        $rt.crash_points().check($name)?
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Runtime;
 
-    // Test-only names: never used by `crash_point!` call sites, so
-    // arming them cannot perturb concurrently running tests.
     #[test]
     fn disarmed_points_never_fire() {
+        let plan = CrashPlan::default();
         for _ in 0..1000 {
-            assert!(check("test.disarmed.point").is_ok());
+            assert!(plan.check("test.disarmed.point").is_ok());
         }
     }
 
     #[test]
     fn nth_hit_fires_exactly_once_on_the_nth() {
-        let g = arm_nth("test.nth.point", 3);
-        assert!(check("test.nth.point").is_ok());
-        assert!(check("test.nth.point").is_ok());
-        let err = check("test.nth.point").unwrap_err();
+        let plan = CrashPlan::default();
+        let g = plan.arm_nth("test.nth.point", 3);
+        assert!(plan.check("test.nth.point").is_ok());
+        assert!(plan.check("test.nth.point").is_ok());
+        let err = plan.check("test.nth.point").unwrap_err();
         assert_eq!(
             err,
             VortexError::SimulatedCrash("test.nth.point".to_string())
         );
         // One-shot: later hits pass.
-        assert!(check("test.nth.point").is_ok());
+        assert!(plan.check("test.nth.point").is_ok());
         assert_eq!(g.hits(), 4);
         assert_eq!(g.fires(), 1);
+        assert_eq!(plan.fires(), 1);
     }
 
     #[test]
     fn permille_is_deterministic_for_a_seed() {
+        let plan = CrashPlan::default();
         let run = |seed: u64| {
-            let _g = arm_permille("test.permille.point", 200, seed);
+            let _g = plan.arm_permille("test.permille.point", 200, seed);
             (0..200)
-                .map(|_| check("test.permille.point").is_err())
+                .map(|_| plan.check("test.permille.point").is_err())
                 .collect::<Vec<bool>>()
         };
         let a = run(42);
@@ -335,11 +355,22 @@ mod tests {
 
     #[test]
     fn guard_drop_disarms() {
+        let plan = CrashPlan::default();
         {
-            let _g = arm_nth("test.guard.point", 1);
-            assert!(check("test.guard.point").is_err());
+            let _g = plan.arm_nth("test.guard.point", 1);
+            assert!(plan.check("test.guard.point").is_err());
         }
-        assert!(check("test.guard.point").is_ok());
+        assert!(plan.check("test.guard.point").is_ok());
+        assert_eq!(plan.fires(), 1, "fires survive the disarm");
+    }
+
+    #[test]
+    fn plans_are_independent() {
+        let (a, b) = (CrashPlan::default(), CrashPlan::default());
+        let _g = a.arm_nth("test.indep.point", 1);
+        assert!(b.check("test.indep.point").is_ok());
+        assert!(a.check("test.indep.point").is_err());
+        assert_eq!((a.fires(), b.fires()), (1, 0));
     }
 
     #[test]
@@ -361,13 +392,14 @@ mod tests {
 
     #[test]
     fn macro_propagates_the_error() {
-        fn site() -> VortexResult<u32> {
-            crate::crash_point!("test.macro.point");
+        fn site(rt: &Runtime) -> VortexResult<u32> {
+            crate::crash_point!(rt, "test.macro.point");
             Ok(7)
         }
-        assert_eq!(site().unwrap(), 7);
-        let _g = arm_nth("test.macro.point", 1);
-        assert!(matches!(site(), Err(VortexError::SimulatedCrash(_))));
-        assert_eq!(site().unwrap(), 7);
+        let rt = Runtime::new();
+        assert_eq!(site(&rt).unwrap(), 7);
+        let _g = rt.crash_points().arm_nth("test.macro.point", 1);
+        assert!(matches!(site(&rt), Err(VortexError::SimulatedCrash(_))));
+        assert_eq!(site(&rt).unwrap(), 7);
     }
 }

@@ -20,6 +20,8 @@
 //!   crash points on every durable-write path, armed by chaos tests.
 //! - [`obs`]: the unified observability layer — metrics registry, spans
 //!   over virtual time, and the §8 commit-to-visible freshness probe.
+//! - [`runtime`]: the per-region owner of the metrics registry and the
+//!   crash-point plan, shared by every component the region builds.
 //! - [`transport`]: the unary/bi-di adaptive connection cost model
 //!   (§5.4.2) the channels and the thick client share.
 //!
@@ -44,6 +46,7 @@ pub mod mask;
 pub mod obs;
 pub mod row;
 pub mod rpc;
+pub mod runtime;
 pub mod schema;
 pub mod schema_codec;
 pub mod stats;

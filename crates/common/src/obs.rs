@@ -4,8 +4,12 @@
 //! ingest (§1, §8) — is only meaningful if commit-to-visible latency can
 //! be *measured* end to end. This module is the measurement substrate:
 //!
-//! - a process-wide [`Registry`] of named [`Counter`]s, [`Gauge`]s, and
-//!   bounded-bucket [`Histogram`]s (p50/p90/p95/p99/max);
+//! - a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and
+//!   bounded-bucket [`Histogram`]s (p50/p90/p95/p99/max). Each region
+//!   owns exactly one, inside its [`Runtime`](crate::runtime::Runtime);
+//!   every component the region builds records into it, RPC channels
+//!   included (`rpc.<channel>.<method>.*`). There is no process-global
+//!   registry, so regions sharing a process never mix their metrics;
 //! - [`Span`]s: lightweight structured timers over **virtual** time,
 //!   threaded through the append path (client → RPC → Stream Server →
 //!   WAL → Colossus replica write → ack, §4.2.2) and the scan path
@@ -14,12 +18,9 @@
 //!   timestamp and measures commit-to-visible latency at the query
 //!   engine (§8), watermarked so retries and ambiguous acks never
 //!   double-count a row;
-//! - a seeded [`Reservoir`] sampler (Algorithm R) so long soaks keep
-//!   percentiles representative of the *whole* stream instead of its
-//!   first N samples;
 //! - a [`MetricsSnapshot`] exporter (JSON + aligned text table) that
-//!   also folds in per-method RPC stats and crash-point fires, so RPC
-//!   histograms and chaos counters stop being islands.
+//!   also carries the region's crash-point fires, so chaos counters share
+//!   the pane.
 //!
 //! Everything here is deterministic under a seed and uses virtual /
 //! TrueTime timestamps exclusively — nothing reads the wall clock (the
@@ -27,13 +28,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::ids::TableId;
-use crate::latency::Percentiles;
-use crate::rpc::RpcMetrics;
 use crate::truetime::Timestamp;
 
 // ---------------------------------------------------------------------------
@@ -242,86 +241,12 @@ impl std::fmt::Display for HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded reservoir sampling (Algorithm R)
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity uniform sample over an unbounded stream, seeded so
-/// the kept sample set is deterministic under `VORTEX_CHAOS_SEED`-style
-/// seeding. Replaces first-N retention wherever percentiles must track
-/// the *whole* stream (a first-N window reports startup-biased tails on
-/// long soaks).
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    cap: usize,
-    seen: u64,
-    rng: u64,
-    samples: Vec<u64>,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` samples.
-    pub fn new(cap: usize, seed: u64) -> Self {
-        // splitmix64 finalizer: xorshift* state must be non-zero, and
-        // seeds differing in any single bit must diverge immediately.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        Reservoir {
-            cap: cap.max(1),
-            seen: 0,
-            rng: z | 1,
-            samples: Vec::new(),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Offers one observation to the reservoir (Algorithm R: kept with
-    /// probability `cap / seen`).
-    pub fn record(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(v);
-            return;
-        }
-        let j = self.next_rand() % self.seen;
-        if (j as usize) < self.cap {
-            self.samples[j as usize] = v;
-        }
-    }
-
-    /// Observations offered so far (≥ `samples().len()`).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current uniform sample of the stream.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Percentiles of the current sample.
-    pub fn percentiles(&self) -> Percentiles {
-        let mut s = self.samples.clone();
-        Percentiles::compute(&mut s)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// A named-metric registry. Instantiable for tests; the engine shares
-/// the process-wide [`global`] instance (one pane of glass, mirroring
-/// the crash-point registry's process-global design).
+/// A named-metric registry: one per region (inside its
+/// [`Runtime`](crate::runtime::Runtime)), one pane of glass for every
+/// component the region builds.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -374,8 +299,8 @@ impl Registry {
         }
     }
 
-    /// Snapshots every metric in the registry, plus the process-wide
-    /// crash-point fire total (so chaos counters share the pane).
+    /// Snapshots every metric in the registry (crash-point fires are
+    /// filled in by [`Runtime::snapshot`](crate::runtime::Runtime::snapshot)).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -396,16 +321,9 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            rpc: BTreeMap::new(),
-            crash_point_fires: crate::crashpoints::total_fires(),
+            crash_point_fires: 0,
         }
     }
-}
-
-/// The process-wide registry every component records into.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 // ---------------------------------------------------------------------------
@@ -413,11 +331,11 @@ pub fn global() -> &'static Registry {
 // ---------------------------------------------------------------------------
 
 /// A lightweight structured span over **virtual** time: explicit begin /
-/// end timestamps (no wall clock), recorded into the global registry as
-/// histogram `span.<name>.us` on end. Durations of 0 are normal under
+/// end timestamps (no wall clock), recorded into a registry as histogram
+/// `span.<name>.us` by [`Span::end_into`]. Durations of 0 are normal under
 /// zero-latency profiles and keep deterministic runs deterministic.
 #[derive(Debug)]
-#[must_use = "a span records nothing until `end` is called"]
+#[must_use = "a span records nothing until `end_into` is called"]
 pub struct Span {
     name: &'static str,
     start: Timestamp,
@@ -434,11 +352,6 @@ impl Span {
         registry
             .histogram(&format!("span.{}.us", self.name))
             .record(end.micros().saturating_sub(self.start.micros()));
-    }
-
-    /// Closes the span at `end`, recording into the [`global`] registry.
-    pub fn end(self, end: Timestamp) {
-        self.end_into(global(), end);
     }
 }
 
@@ -544,29 +457,8 @@ impl FreshnessProbe {
 // Unified snapshot + exporters
 // ---------------------------------------------------------------------------
 
-/// Per-method RPC summary folded into a [`MetricsSnapshot`].
-#[derive(Debug, Clone)]
-pub struct RpcMethodSummary {
-    /// Calls issued.
-    pub calls: u64,
-    /// Attempts across all calls (excess over `calls` = retries).
-    pub attempts: u64,
-    /// Calls that returned `Ok`.
-    pub ok: u64,
-    /// Calls that returned `Err`.
-    pub err: u64,
-    /// Attempts failed by injected pre-execution unavailability.
-    pub injected_unavailable: u64,
-    /// Successful executions whose reply was injected-lost.
-    pub injected_reply_lost: u64,
-    /// Calls that exhausted their budget.
-    pub deadline_exceeded: u64,
-    /// Latency percentiles over the method's reservoir sample.
-    pub latency: Percentiles,
-}
-
-/// One unified, exportable view over counters, gauges, histograms,
-/// per-method RPC stats, and crash-point fires.
+/// One unified, exportable view over counters, gauges, histograms, and
+/// crash-point fires.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -575,33 +467,11 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// RPC per-method summaries keyed `"<channel>.<method>"`.
-    pub rpc: BTreeMap<String, RpcMethodSummary>,
-    /// Total crash-point fires in this process.
+    /// Crash-point fires in the region this snapshot was taken from.
     pub crash_point_fires: u64,
 }
 
 impl MetricsSnapshot {
-    /// Folds one RPC channel's per-method metrics into the snapshot
-    /// under `"<channel>.<method>"` keys.
-    pub fn add_rpc(&mut self, channel: &str, metrics: &RpcMetrics) {
-        for (method, stats) in metrics.snapshot() {
-            self.rpc.insert(
-                format!("{channel}.{method}"),
-                RpcMethodSummary {
-                    calls: stats.calls,
-                    attempts: stats.attempts,
-                    ok: stats.ok,
-                    err: stats.err,
-                    injected_unavailable: stats.injected_unavailable,
-                    injected_reply_lost: stats.injected_reply_lost,
-                    deadline_exceeded: stats.deadline_exceeded,
-                    latency: stats.percentiles(),
-                },
-            );
-        }
-    }
-
     /// Serializes the snapshot as a single JSON object (hand-rolled; the
     /// workspace carries no serde).
     pub fn to_json(&self) -> String {
@@ -655,34 +525,6 @@ impl MetricsSnapshot {
                 h.p99
             ));
         }
-        out.push_str("},\"rpc\":{");
-        let mut first = true;
-        for (k, m) in &self.rpc {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"calls\":{},\"attempts\":{},\"ok\":{},\"err\":{},\
-                 \"injected_unavailable\":{},\"injected_reply_lost\":{},\
-                 \"deadline_exceeded\":{},\"p50\":{},\"p90\":{},\"p95\":{},\
-                 \"p99\":{},\"max\":{},\"samples\":{}}}",
-                esc(k),
-                m.calls,
-                m.attempts,
-                m.ok,
-                m.err,
-                m.injected_unavailable,
-                m.injected_reply_lost,
-                m.deadline_exceeded,
-                m.latency.p50,
-                m.latency.p90,
-                m.latency.p95,
-                m.latency.p99,
-                m.latency.max,
-                m.latency.count
-            ));
-        }
         out.push_str(&format!(
             "}},\"crash_point_fires\":{}}}",
             self.crash_point_fires
@@ -698,7 +540,6 @@ impl MetricsSnapshot {
             .keys()
             .chain(self.gauges.keys())
             .chain(self.histograms.keys())
-            .chain(self.rpc.keys())
             .map(|k| k.len())
             .max()
             .unwrap_or(4)
@@ -725,18 +566,6 @@ impl MetricsSnapshot {
                 out.push_str(&format!(
                     "{k:<name_w$} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                     h.count, h.p50, h.p90, h.p99, h.max
-                ));
-            }
-        }
-        if !self.rpc.is_empty() {
-            out.push_str(&format!(
-                "{:<name_w$} {:>10} {:>8} {:>8} {:>10} {:>10}\n",
-                "rpc method", "calls", "ok", "err", "p50us", "p99us"
-            ));
-            for (k, m) in &self.rpc {
-                out.push_str(&format!(
-                    "{k:<name_w$} {:>10} {:>8} {:>8} {:>10} {:>10}\n",
-                    m.calls, m.ok, m.err, m.latency.p50, m.latency.p99
                 ));
             }
         }
@@ -802,39 +631,6 @@ mod tests {
         assert_eq!((s.count, s.min, s.max), (1, 42, 42));
         assert_eq!(s.p50, 42, "single sample pins every percentile");
         assert_eq!(s.p99, 42);
-    }
-
-    #[test]
-    fn reservoir_is_uniform_not_prefix_biased() {
-        // 10k lows then 90k highs: a first-N window of 10k would report
-        // p50 = low; a uniform reservoir must report p50 = high.
-        let mut r = Reservoir::new(10_000, 7);
-        for _ in 0..10_000 {
-            r.record(1_000);
-        }
-        for _ in 0..90_000 {
-            r.record(100_000);
-        }
-        assert_eq!(r.seen(), 100_000);
-        assert_eq!(r.samples().len(), 10_000);
-        let p = r.percentiles();
-        assert_eq!(p.p50, 100_000, "p50 must track the overall stream");
-        let lows = r.samples().iter().filter(|&&v| v == 1_000).count();
-        // E[lows] = 10_000 * (10k/100k) = 1_000; allow generous slack.
-        assert!((500..2_000).contains(&lows), "lows={lows}");
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut r = Reservoir::new(64, seed);
-            for v in 0..10_000u64 {
-                r.record(v);
-            }
-            r.samples().to_vec()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
     }
 
     #[test]
@@ -917,11 +713,5 @@ mod tests {
         for line in table.lines() {
             assert!(!line.trim().is_empty());
         }
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        global().counter("obs.test.singleton").inc();
-        assert!(global().snapshot().counters["obs.test.singleton"] >= 1);
     }
 }

@@ -6,7 +6,15 @@
 //! executed but the caller never heard), virtual latency drawn from the
 //! [`crate::latency`] models, a retry policy with exponential backoff +
 //! jitter honoring [`VortexError::is_retryable`], and per-method call
-//! counters / latency histograms drainable by tests and benches.
+//! counters and latency histograms.
+//!
+//! A channel records its metrics into the registry of the region's
+//! [`Runtime`] — the same registry every other component records into —
+//! as counters `rpc.<channel>.<method>.<field>` (`calls`, `attempts`,
+//! `ok`, `err`, `injected_unavailable`, `injected_reply_lost`,
+//! `deadline_exceeded`, `admission_shed`, `admission_queued`) and the
+//! histogram `rpc.<channel>.<method>.latency_us`. The handles are
+//! resolved once per method, so no metric name is formatted per call.
 //!
 //! The one semantic rule the whole engine leans on: a fault injected
 //! **before** the callee ran is always safe to retry, for any method; a
@@ -29,8 +37,9 @@ use rand::SeedableRng;
 
 use crate::error::{VortexError, VortexResult};
 use crate::ids::TableId;
-use crate::latency::{LogNormal, Percentiles};
-use crate::obs::Reservoir;
+use crate::latency::LogNormal;
+use crate::obs::{Counter, Histogram};
+use crate::runtime::Runtime;
 use crate::transport::AdaptiveTransport;
 use crate::truetime::{SimClock, Timestamp};
 
@@ -391,178 +400,39 @@ impl RetryPolicy {
     }
 }
 
-/// Per-method counters and latency samples. Latencies are the *virtual*
-/// per-call totals (injected attempt latencies + backoffs), so percentile
-/// assertions are deterministic under a seeded profile.
-///
-/// `latency_us` is a seeded uniform *reservoir sample* of every completed
-/// call, not a first-N prefix: on a soak that records millions of calls,
-/// percentiles track the whole stream rather than its startup phase.
-#[derive(Debug, Clone, Default)]
-pub struct MethodStats {
-    /// Calls issued (one per `call()` invocation).
-    pub calls: u64,
-    /// Attempts across all calls (≥ `calls`; the excess is retries).
-    pub attempts: u64,
-    /// Calls that returned `Ok` to the caller.
-    pub ok: u64,
-    /// Calls that returned `Err` to the caller.
-    pub err: u64,
-    /// Attempts failed by injected pre-execution unavailability.
-    pub injected_unavailable: u64,
-    /// Successful executions whose reply was injected-lost.
-    pub injected_reply_lost: u64,
-    /// Calls that exhausted their budget.
-    pub deadline_exceeded: u64,
-    /// Attempts shed by the admission interceptor (never executed).
-    pub admission_shed: u64,
-    /// Attempts admitted only after a virtual queueing delay.
-    pub admission_queued: u64,
-    /// Latencies offered to the reservoir over the channel's lifetime
-    /// (≥ `latency_us.len()`; the excess was sampled out).
-    pub latency_seen: u64,
-    /// Virtual latency per completed call, microseconds — a uniform
-    /// reservoir sample of at most [`MAX_LATENCY_SAMPLES`] values.
-    pub latency_us: Vec<u64>,
-}
-
-impl MethodStats {
-    /// Percentile summary of the recorded call latencies.
-    pub fn percentiles(&self) -> Percentiles {
-        let mut samples = self.latency_us.clone();
-        Percentiles::compute(&mut samples)
-    }
-}
-
-/// Latency samples kept per method (reservoir capacity): enough for
-/// stable p99s, bounded for long soaks.
-pub const MAX_LATENCY_SAMPLES: usize = 65_536;
-
-/// Internal per-method record: the counters plus the seeded reservoir
-/// the public [`MethodStats`] snapshot is materialized from.
+/// One method's metric handles in the region registry. Latencies are the
+/// *virtual* per-call totals (injected attempt latencies + backoffs), so
+/// percentile assertions are deterministic under a seeded profile.
 #[derive(Debug)]
-struct MethodRecord {
-    calls: u64,
-    attempts: u64,
-    ok: u64,
-    err: u64,
-    injected_unavailable: u64,
-    injected_reply_lost: u64,
-    deadline_exceeded: u64,
-    admission_shed: u64,
-    admission_queued: u64,
-    latency: Reservoir,
+struct MethodMetrics {
+    calls: Arc<Counter>,
+    attempts: Arc<Counter>,
+    ok: Arc<Counter>,
+    err: Arc<Counter>,
+    injected_unavailable: Arc<Counter>,
+    injected_reply_lost: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    admission_shed: Arc<Counter>,
+    admission_queued: Arc<Counter>,
+    latency_us: Arc<Histogram>,
 }
 
-impl MethodRecord {
-    fn new(seed: u64) -> Self {
-        MethodRecord {
-            calls: 0,
-            attempts: 0,
-            ok: 0,
-            err: 0,
-            injected_unavailable: 0,
-            injected_reply_lost: 0,
-            deadline_exceeded: 0,
-            admission_shed: 0,
-            admission_queued: 0,
-            latency: Reservoir::new(MAX_LATENCY_SAMPLES, seed),
+impl MethodMetrics {
+    fn resolve(rt: &Runtime, channel: &str, method: &str) -> Self {
+        let m = rt.metrics();
+        let c = |field: &str| m.counter(&format!("rpc.{channel}.{method}.{field}"));
+        MethodMetrics {
+            calls: c("calls"),
+            attempts: c("attempts"),
+            ok: c("ok"),
+            err: c("err"),
+            injected_unavailable: c("injected_unavailable"),
+            injected_reply_lost: c("injected_reply_lost"),
+            deadline_exceeded: c("deadline_exceeded"),
+            admission_shed: c("admission_shed"),
+            admission_queued: c("admission_queued"),
+            latency_us: m.histogram(&format!("rpc.{channel}.{method}.latency_us")),
         }
-    }
-
-    fn to_stats(&self) -> MethodStats {
-        MethodStats {
-            calls: self.calls,
-            attempts: self.attempts,
-            ok: self.ok,
-            err: self.err,
-            injected_unavailable: self.injected_unavailable,
-            injected_reply_lost: self.injected_reply_lost,
-            deadline_exceeded: self.deadline_exceeded,
-            admission_shed: self.admission_shed,
-            admission_queued: self.admission_queued,
-            latency_seen: self.latency.seen(),
-            latency_us: self.latency.samples().to_vec(),
-        }
-    }
-}
-
-/// FNV-1a over the method name, folded into the channel seed, so each
-/// method's reservoir is independently — and reproducibly — seeded.
-fn method_seed(seed: u64, method: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in method.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed ^ h
-}
-
-/// Per-method metrics for one channel, drainable by tests and benches.
-#[derive(Debug)]
-pub struct RpcMetrics {
-    seed: u64,
-    methods: Mutex<HashMap<String, MethodRecord>>,
-}
-
-impl Default for RpcMetrics {
-    fn default() -> Self {
-        RpcMetrics::with_seed(0x5EED_1E55)
-    }
-}
-
-impl RpcMetrics {
-    /// Metrics whose per-method latency reservoirs derive from `seed`
-    /// (deterministic under `VORTEX_CHAOS_SEED`-seeded configs).
-    pub fn with_seed(seed: u64) -> Self {
-        RpcMetrics {
-            seed,
-            methods: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn with<R>(&self, method: &str, f: impl FnOnce(&mut MethodRecord) -> R) -> R {
-        let mut map = self.methods.lock();
-        match map.get_mut(method) {
-            Some(rec) => f(rec),
-            None => {
-                let rec = map
-                    .entry(method.to_string())
-                    .or_insert_with(|| MethodRecord::new(method_seed(self.seed, method)));
-                f(rec)
-            }
-        }
-    }
-
-    /// Snapshot of every method's stats.
-    pub fn snapshot(&self) -> HashMap<String, MethodStats> {
-        self.methods
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_stats()))
-            .collect()
-    }
-
-    /// One method's stats (zeros if never called).
-    pub fn method(&self, method: &str) -> MethodStats {
-        self.methods
-            .lock()
-            .get(method)
-            .map(|r| r.to_stats())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot and reset.
-    pub fn drain(&self) -> HashMap<String, MethodStats> {
-        std::mem::take(&mut *self.methods.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_stats()))
-            .collect()
-    }
-
-    /// Total calls across all methods.
-    pub fn total_calls(&self) -> u64 {
-        self.methods.lock().values().map(|m| m.calls).sum()
     }
 }
 
@@ -580,7 +450,7 @@ pub struct RpcChannelConfig {
     /// Off by default: soaks already drive virtual time explicitly, and
     /// double-advancing would skew TrueTime-dependent assertions.
     pub advance_virtual_time: bool,
-    /// Seed for the channel's samplers and the fault plan.
+    /// Seed for the channel's latency sampler and the fault plan.
     pub seed: u64,
 }
 
@@ -603,7 +473,9 @@ pub struct RpcChannel {
     name: String,
     cfg: RpcChannelConfig,
     faults: Arc<RpcFaultPlan>,
-    metrics: RpcMetrics,
+    rt: Arc<Runtime>,
+    /// Per-method metric handles, resolved on a method's first call.
+    methods: Mutex<HashMap<&'static str, Arc<MethodMetrics>>>,
     clock: Option<SimClock>,
     transport: Mutex<AdaptiveTransport>,
     /// Admission hook consulted before every attempt (`vortex-admission`
@@ -627,16 +499,21 @@ impl std::fmt::Debug for RpcChannel {
 impl RpcChannel {
     /// Builds a channel. `clock` is the region's shared virtual clock, if
     /// any; it timestamps transport traffic and (optionally) absorbs
-    /// injected latency.
-    pub fn new(name: &str, cfg: RpcChannelConfig, clock: Option<SimClock>) -> Arc<Self> {
+    /// injected latency. Metrics are recorded into `rt`'s registry.
+    pub fn new(
+        name: &str,
+        cfg: RpcChannelConfig,
+        clock: Option<SimClock>,
+        rt: Arc<Runtime>,
+    ) -> Arc<Self> {
         let faults = Arc::new(RpcFaultPlan::new(cfg.seed ^ 0x9E37_79B9));
         let latency_rng = Mutex::new(StdRng::seed_from_u64(cfg.seed));
-        let metrics = RpcMetrics::with_seed(cfg.seed);
         Arc::new(RpcChannel {
             name: name.to_string(),
             cfg,
             faults,
-            metrics,
+            rt,
+            methods: Mutex::new(HashMap::new()),
             clock,
             transport: Mutex::new(AdaptiveTransport::with_defaults()),
             interceptor: Mutex::new(None),
@@ -653,11 +530,6 @@ impl RpcChannel {
     /// The channel's fault plan (shared; flip knobs while traffic flows).
     pub fn faults(&self) -> &RpcFaultPlan {
         &self.faults
-    }
-
-    /// Per-method call metrics.
-    pub fn metrics(&self) -> &RpcMetrics {
-        &self.metrics
     }
 
     /// The accumulated transport cost ledger (§5.4.2), fed by real calls.
@@ -691,6 +563,15 @@ impl RpcChannel {
     /// Removes the admission interceptor (control configurations).
     pub fn clear_interceptor(&self) {
         *self.interceptor.lock() = None;
+    }
+
+    fn method_metrics(&self, method: &'static str) -> Arc<MethodMetrics> {
+        let mut methods = self.methods.lock();
+        Arc::clone(
+            methods
+                .entry(method)
+                .or_insert_with(|| Arc::new(MethodMetrics::resolve(&self.rt, &self.name, method))),
+        )
     }
 
     fn now(&self) -> Timestamp {
@@ -749,7 +630,8 @@ impl RpcChannel {
         payload_bytes: u64,
         mut f: impl FnMut() -> VortexResult<T>,
     ) -> VortexResult<T> {
-        self.metrics.with(method, |m| m.calls += 1);
+        let m = self.method_metrics(method);
+        m.calls.inc();
         // Interceptor + context are captured once per call: a class/tenant
         // scope installed mid-call must not split one call's accounting.
         let interceptor = self.interceptor.lock().clone();
@@ -757,14 +639,12 @@ impl RpcChannel {
         let mut consumed_us = 0u64;
         let mut attempt = 0usize;
         let finish = |consumed_us: u64, ok: bool| {
-            self.metrics.with(method, |m| {
-                if ok {
-                    m.ok += 1;
-                } else {
-                    m.err += 1;
-                }
-                m.latency.record(consumed_us);
-            });
+            if ok {
+                m.ok.inc();
+            } else {
+                m.err.inc();
+            }
+            m.latency_us.record(consumed_us);
             if let Some(i) = &interceptor {
                 i.complete(&self.name, method, ctx, consumed_us, ok);
             }
@@ -777,12 +657,12 @@ impl RpcChannel {
         };
         loop {
             attempt += 1;
-            self.metrics.with(method, |m| m.attempts += 1);
+            m.attempts.inc();
             let lat = self.sample_latency_us();
             self.absorb_latency(lat);
             consumed_us = consumed_us.saturating_add(lat);
             if consumed_us > self.cfg.call_budget_us {
-                self.metrics.with(method, |m| m.deadline_exceeded += 1);
+                m.deadline_exceeded.inc();
                 finish(consumed_us, false);
                 return Err(VortexError::DeadlineExceeded {
                     method: method.to_string(),
@@ -805,14 +685,14 @@ impl RpcChannel {
                 ) {
                     Ok(queued_us) => {
                         if queued_us > 0 {
-                            self.metrics.with(method, |m| m.admission_queued += 1);
+                            m.admission_queued.inc();
                             self.absorb_latency(queued_us);
                             consumed_us = consumed_us.saturating_add(queued_us);
                         }
                         if consumed_us > self.cfg.call_budget_us {
                             // The admission queue wait blew the deadline.
                             i.release(ctx);
-                            self.metrics.with(method, |m| m.deadline_exceeded += 1);
+                            m.deadline_exceeded.inc();
                             finish(consumed_us, false);
                             return Err(VortexError::DeadlineExceeded {
                                 method: method.to_string(),
@@ -821,7 +701,7 @@ impl RpcChannel {
                         }
                     }
                     Err(e) => {
-                        self.metrics.with(method, |m| m.admission_shed += 1);
+                        m.admission_shed.inc();
                         if attempt < self.cfg.retry.max_attempts {
                             let us = e.retry_after_us().unwrap_or_else(|| {
                                 self.cfg
@@ -844,7 +724,7 @@ impl RpcChannel {
                 if let Some(i) = &interceptor {
                     i.release(ctx);
                 }
-                self.metrics.with(method, |m| m.injected_unavailable += 1);
+                m.injected_unavailable.inc();
                 if attempt < self.cfg.retry.max_attempts {
                     let us = self
                         .cfg
@@ -866,7 +746,7 @@ impl RpcChannel {
             }
             // Post-execution reply loss: the callee DID run.
             if result.is_ok() && self.faults.should_lose_reply(method) {
-                self.metrics.with(method, |m| m.injected_reply_lost += 1);
+                m.injected_reply_lost.inc();
                 match kind {
                     CallKind::Idempotent => {
                         if attempt < self.cfg.retry.max_attempts {
@@ -926,7 +806,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn channel(cfg: RpcChannelConfig) -> Arc<RpcChannel> {
-        RpcChannel::new("test", cfg, None)
+        RpcChannel::new("test", cfg, None, Runtime::new())
+    }
+
+    /// Counter `rpc.test.<method>.<field>` from the runtime's snapshot.
+    fn count(ch: &RpcChannel, method: &str, field: &str) -> u64 {
+        let snap = ch.rt.snapshot();
+        snap.counters
+            .get(&format!("rpc.test.{method}.{field}"))
+            .copied()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -941,10 +830,9 @@ mod tests {
             });
             assert_eq!(out.unwrap(), 7);
             assert_eq!(executed.load(Ordering::SeqCst), 1, "callee ran once");
-            let m = ch.metrics().method("m");
-            assert_eq!(m.attempts, 3);
-            assert_eq!(m.injected_unavailable, 2);
-            assert_eq!(m.ok, 1);
+            assert_eq!(count(&ch, "m", "attempts"), 3);
+            assert_eq!(count(&ch, "m", "injected_unavailable"), 2);
+            assert_eq!(count(&ch, "m", "ok"), 1);
         }
     }
 
@@ -978,7 +866,7 @@ mod tests {
             1,
             "non-idempotent must not re-run"
         );
-        assert_eq!(ch.metrics().method("m").injected_reply_lost, 1);
+        assert_eq!(count(&ch, "m", "injected_reply_lost"), 1);
     }
 
     #[test]
@@ -1038,7 +926,7 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert_eq!(executed.load(Ordering::SeqCst), 0, "deadline fires first");
-        assert_eq!(ch.metrics().method("m").deadline_exceeded, 1);
+        assert_eq!(count(&ch, "m", "deadline_exceeded"), 1);
     }
 
     #[test]
@@ -1079,9 +967,8 @@ mod tests {
         for _ in 0..4_000 {
             ch.call("m", CallKind::Idempotent, || Ok(())).unwrap();
         }
-        let stats = ch.metrics().method("m");
-        assert_eq!(stats.calls, 4_000);
-        let p = stats.percentiles();
+        assert_eq!(count(&ch, "m", "calls"), 4_000);
+        let p = ch.rt.snapshot().histograms["rpc.test.m.latency_us"];
         assert!(
             (7_000..14_000).contains(&p.p50),
             "p50 {}us should be ~10ms",
@@ -1096,56 +983,30 @@ mod tests {
 
     #[test]
     fn reservoir_percentiles_track_overall_stream_not_prefix() {
-        // Regression: latency retention used to keep only the *first*
-        // MAX_LATENCY_SAMPLES values per method, so a long soak whose
-        // latency profile shifted after startup reported startup-biased
-        // percentiles forever. The seeded reservoir must instead sample
-        // the whole stream uniformly: 65,536 fast calls followed by
+        // Regression: latency retention once kept only the *first* N
+        // values per method, so a long soak whose latency profile shifted
+        // after startup reported startup-biased percentiles forever. A
+        // seeded reservoir fixed that; the registry histogram that
+        // replaced it counts every call: 65,536 fast calls followed by
         // 2×65,536 slow calls has an overall p50 of the slow value.
+        const N: u64 = 65_536;
         let ch = channel(RpcChannelConfig::default());
-        let m = ch.metrics();
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            m.with("m", |r| {
-                r.ok += 1;
-                r.latency.record(1_000);
-            });
+        let m = ch.method_metrics("m");
+        for _ in 0..N {
+            m.latency_us.record(1_000);
         }
-        for _ in 0..2 * MAX_LATENCY_SAMPLES {
-            m.with("m", |r| {
-                r.ok += 1;
-                r.latency.record(100_000);
-            });
+        for _ in 0..2 * N {
+            m.latency_us.record(100_000);
         }
-        let stats = m.method("m");
-        assert_eq!(stats.latency_seen, 3 * MAX_LATENCY_SAMPLES as u64);
-        assert_eq!(stats.latency_us.len(), MAX_LATENCY_SAMPLES);
-        let p = stats.percentiles();
-        assert_eq!(
-            p.p50, 100_000,
-            "p50 must track the overall stream (2/3 slow), not the fast prefix"
+        let h = ch.rt.snapshot().histograms["rpc.test.m.latency_us"];
+        assert_eq!(h.count, 3 * N);
+        // Bucket upper bounds overestimate by at most 12.5%.
+        assert!(
+            (100_000..=112_500).contains(&h.p50),
+            "p50 {} must track the overall stream (2/3 slow), not the fast prefix",
+            h.p50
         );
-        // The fast prefix is 1/3 of the stream; the uniform sample keeps
-        // roughly that share, not 100% of it.
-        let lows = stats.latency_us.iter().filter(|&&v| v == 1_000).count();
-        let (lo, hi) = (MAX_LATENCY_SAMPLES / 5, MAX_LATENCY_SAMPLES / 2);
-        assert!((lo..hi).contains(&lows), "prefix share {lows} not ~1/3");
-    }
-
-    #[test]
-    fn reservoir_sample_is_deterministic_per_channel_seed() {
-        let run = |seed: u64| {
-            let cfg = RpcChannelConfig {
-                seed,
-                ..RpcChannelConfig::default()
-            };
-            let ch = channel(cfg);
-            for v in 0..(MAX_LATENCY_SAMPLES as u64 + 10_000) {
-                ch.metrics().with("m", |r| r.latency.record(v));
-            }
-            ch.metrics().method("m").latency_us
-        };
-        assert_eq!(run(0xC8A5_0C8A), run(0xC8A5_0C8A));
-        assert_ne!(run(0xC8A5_0C8A), run(0xC8A5_0C8B));
+        assert_eq!(h.min, 1_000, "the fast prefix is still counted");
     }
 
     #[test]
@@ -1160,13 +1021,21 @@ mod tests {
     }
 
     #[test]
-    fn metrics_drain_resets() {
-        let ch = channel(RpcChannelConfig::default());
-        ch.call("m", CallKind::Idempotent, || Ok(())).unwrap();
-        assert_eq!(ch.metrics().total_calls(), 1);
-        let drained = ch.metrics().drain();
-        assert_eq!(drained["m"].calls, 1);
-        assert_eq!(ch.metrics().total_calls(), 0);
+    fn metrics_land_in_the_runtime_registry() {
+        let rt = Runtime::new();
+        let a = RpcChannel::new("a", RpcChannelConfig::default(), None, Arc::clone(&rt));
+        let b = RpcChannel::new("b", RpcChannelConfig::default(), None, Arc::clone(&rt));
+        a.call("m", CallKind::Idempotent, || Ok(())).unwrap();
+        a.call("m", CallKind::Idempotent, || Ok(())).unwrap();
+        b.call("m", CallKind::Idempotent, || Ok(())).unwrap();
+        let snap = rt.snapshot();
+        assert_eq!(snap.counters["rpc.a.m.calls"], 2);
+        assert_eq!(snap.counters["rpc.b.m.calls"], 1);
+        assert_eq!(snap.histograms["rpc.a.m.latency_us"].count, 2);
+        // A channel on another runtime records nothing here.
+        let other = channel(RpcChannelConfig::default());
+        other.call("m", CallKind::Idempotent, || Ok(())).unwrap();
+        assert!(!rt.snapshot().counters.contains_key("rpc.test.m.calls"));
     }
 
     /// Test interceptor: sheds the first `shed_first` admits with a fixed
@@ -1255,9 +1124,8 @@ mod tests {
         let out = ch.call("m", CallKind::NonIdempotent, || Ok(9u32));
         assert_eq!(out.unwrap(), 9);
         assert_eq!(&*icpt.nows.lock(), &[0, 5_000, 10_000]);
-        let m = ch.metrics().method("m");
-        assert_eq!(m.admission_shed, 2);
-        assert_eq!(m.attempts, 3);
+        assert_eq!(count(&ch, "m", "admission_shed"), 2);
+        assert_eq!(count(&ch, "m", "attempts"), 3);
         // Shedding is pre-execution: retrying a NonIdempotent call is safe.
         assert_eq!(icpt.completed_ok.load(Ordering::SeqCst), 1);
     }
@@ -1304,8 +1172,10 @@ mod tests {
         // Shed attempts were never admitted: no release, one complete.
         assert_eq!(icpt.releases.load(Ordering::SeqCst), 0);
         assert_eq!(icpt.completes.load(Ordering::SeqCst), 1);
-        let m = ch.metrics().method("m");
-        assert_eq!(m.admission_shed, m.attempts);
+        assert_eq!(
+            count(&ch, "m", "admission_shed"),
+            count(&ch, "m", "attempts")
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl BeamSink {
                 .flush_stream(self.table, msg.stream, msg.row_offset)?;
             report.flushes += 1;
         }
-        let m = vortex_common::obs::global();
+        let m = self.client.runtime().metrics();
         m.counter("connector.runs").inc();
         m.counter("connector.bundles_committed")
             .add(report.bundles_committed);
@@ -204,7 +204,7 @@ fn run_worker(
         // stream above every offset ever sent to shuffle, so the Flush
         // stage can never expose them. A redelivery re-appends and
         // commits fresh rows — exactly-once is preserved (§7.4).
-        vortex_common::crash_point!("connector.state.pre_commit");
+        vortex_common::crash_point!(client.runtime(), "connector.state.pre_commit");
         // The atomic triple-commit (§7.4).
         if state.commit_bundle(shuffle, worker_id, bundle.id(), n) {
             report.committed += 1;

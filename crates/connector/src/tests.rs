@@ -8,6 +8,7 @@ use vortex_colossus::StorageFleet;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::row::{Row, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{Field, FieldType, Schema};
 use vortex_common::truetime::{SimClock, TrueTime};
 use vortex_metastore::MetaStore;
@@ -27,12 +28,14 @@ fn rig() -> Rig {
     let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 31);
     let store = MetaStore::new(tt.clone());
     let ids = Arc::new(IdGen::new(1));
+    let rt = Runtime::new();
     let sms = SmsTask::new(
         SmsConfig::new(SmsTaskId::from_raw(0), ClusterId::from_raw(0)),
         store,
         fleet.clone(),
         tt.clone(),
         Arc::clone(&ids),
+        Arc::clone(&rt),
         None,
     );
     for i in 0..2u64 {
@@ -41,12 +44,13 @@ fn rig() -> Rig {
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
         )
         .unwrap();
         sms.register_server(server);
     }
     let handle: vortex_sms::api::SmsHandle = sms.clone();
-    let client = VortexClient::new(handle, fleet, tt);
+    let client = VortexClient::new(handle, fleet, tt, Arc::clone(&rt));
     Rig { client, sms }
 }
 

@@ -7,11 +7,13 @@ use std::sync::Arc;
 use vortex_admission::{AdmissionConfig, AdmissionController};
 use vortex_client::{ReadCache, VortexClient};
 use vortex_colossus::{Colossus, StorageFleet};
+use vortex_common::crashpoints::CrashPlan;
 use vortex_common::error::VortexResult;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
-use vortex_common::obs::{self, FreshnessProbe, MetricsSnapshot};
+use vortex_common::obs::{FreshnessProbe, MetricsSnapshot};
 use vortex_common::rpc::{class_scope, RpcChannel, RpcChannelConfig, WorkClass};
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::{MetaCheckpointOutcome, MetaRecovery, MetaStore};
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
@@ -109,6 +111,11 @@ const READ_CACHE_MAX_ROWS: usize = 64 * 1024;
 
 /// A fully assembled region.
 ///
+/// The region owns its runtime state: one [`Runtime`] (metrics registry
+/// and crash-point plan) handed to every component it builds, so two
+/// regions in one process never share counters, freshness samples or
+/// armed crash points.
+///
 /// Construction hands out *channel-wrapped* service handles: every SMS
 /// handle is an [`SmsChannel`] over the shared `"sms"` [`RpcChannel`],
 /// and the server handles registered with the SMS (and embedded in the
@@ -118,6 +125,7 @@ const READ_CACHE_MAX_ROWS: usize = 64 * 1024;
 /// [`StreamServer`]s remain reachable only for host-process concerns
 /// (checkpointing, crash-recovery tests).
 pub struct Region {
+    rt: Arc<Runtime>,
     clock: SimClock,
     tt: TrueTime,
     fleet: StorageFleet,
@@ -164,6 +172,7 @@ impl Region {
     /// ```
     pub fn create(cfg: RegionConfig) -> VortexResult<Self> {
         assert!(cfg.clusters >= 2, "dual-replica writes need ≥ 2 clusters");
+        let rt = Runtime::new();
         let clock = SimClock::new(cfg.start_micros);
         let tt = TrueTime::simulated(clock.clone(), cfg.tt_epsilon_micros, 0);
         let mut fleet = StorageFleet::new();
@@ -217,8 +226,11 @@ impl Region {
         // published checkpoint plus the WAL tail. A fresh region cold
         // starts from an empty cluster; every commit from here on is
         // WAL-logged before it is acknowledged.
-        let (store, meta_recovery) =
-            MetaStore::recover(tt.clone(), fleet.get(vortex_colossus::META_CLUSTER_ID)?)?;
+        let (store, meta_recovery) = MetaStore::recover(
+            tt.clone(),
+            fleet.get(vortex_colossus::META_CLUSTER_ID)?,
+            Arc::clone(&rt),
+        )?;
         // The restored metadata carries timestamps from the previous
         // incarnation; the fresh virtual clock must start beyond them or
         // new writes would sort before old snapshots.
@@ -255,6 +267,7 @@ impl Region {
                 fleet.clone(),
                 tt.clone(),
                 Arc::clone(&ids),
+                Arc::clone(&rt),
                 view,
             ));
         }
@@ -262,12 +275,17 @@ impl Region {
         // registers channel-wrapped server handles, so client appends
         // (which go through the handles the SMS gives out) cross the
         // server channel too.
-        let sms_rpc = RpcChannel::new("sms", cfg.rpc.clone(), Some(clock.clone()));
-        let server_rpc = RpcChannel::new("server", cfg.rpc.clone(), Some(clock.clone()));
+        let sms_rpc = RpcChannel::new("sms", cfg.rpc.clone(), Some(clock.clone()), Arc::clone(&rt));
+        let server_rpc = RpcChannel::new(
+            "server",
+            cfg.rpc.clone(),
+            Some(clock.clone()),
+            Arc::clone(&rt),
+        );
         // One admission controller across both hops: every RPC in the
         // region drains the same quota pool and the same adaptive
         // concurrency window (the single policy point for overload).
-        let admission = AdmissionController::new(cfg.admission.clone());
+        let admission = AdmissionController::new(cfg.admission.clone(), Arc::clone(&rt));
         sms_rpc.set_interceptor(admission.clone());
         server_rpc.set_interceptor(admission.clone());
         let mut servers = Vec::new();
@@ -287,6 +305,7 @@ impl Region {
                     fleet.clone(),
                     tt.clone(),
                     Arc::clone(&ids),
+                    Arc::clone(&rt),
                 )?;
                 let channel = ServerChannel::new(server.clone(), Arc::clone(&server_rpc));
                 let handle: ServerHandle = channel.clone();
@@ -309,11 +328,13 @@ impl Region {
         let optimizer = StorageOptimizer::new(
             sms_handles[0].clone(),
             fleet.clone(),
-            tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
             cfg.optimizer,
         );
         Ok(Region {
+            freshness: Arc::new(FreshnessProbe::new(rt.metrics())),
+            rt,
             clock,
             tt,
             fleet,
@@ -330,7 +351,6 @@ impl Region {
             admission,
             optimizer,
             read_cache: ReadCache::new(READ_CACHE_MAX_ROWS),
-            freshness: Arc::new(FreshnessProbe::new(obs::global())),
             meta_recovery,
             meta_gc_grace: cfg
                 .gc_grace_micros
@@ -358,7 +378,7 @@ impl Region {
     /// compare the two to prove no acknowledged commit is lost and
     /// nothing GC'd is resurrected.
     pub fn recover_metastore_replica(&self) -> VortexResult<(Arc<MetaStore>, MetaRecovery)> {
-        MetaStore::recover(self.tt.clone(), self.meta_cluster()?)
+        MetaStore::recover(self.tt.clone(), self.meta_cluster()?, Arc::clone(&self.rt))
     }
 
     /// The metastore durability domain: the dedicated cluster holding
@@ -454,6 +474,7 @@ impl Region {
             self.fleet.clone(),
             self.tt.clone(),
             Arc::clone(&self.ids),
+            Arc::clone(&self.rt),
         )?;
         self.servers.write()[idx] = server.clone();
         self.server_channels[idx].restart(server);
@@ -487,6 +508,7 @@ impl Region {
             self.fleet.clone(),
             self.tt.clone(),
             Arc::clone(&self.ids),
+            Arc::clone(&self.rt),
             view,
         );
         for handle in &self.server_handles {
@@ -501,8 +523,8 @@ impl Region {
     }
 
     /// The RPC channel carrying SMS traffic: arm faults and latency via
-    /// [`RpcChannel::faults`], read per-method metrics via
-    /// [`RpcChannel::metrics`].
+    /// [`RpcChannel::faults`]; its per-method metrics are the
+    /// `rpc.sms.<method>.*` entries of [`Region::metrics_snapshot`].
     pub fn sms_rpc(&self) -> &Arc<RpcChannel> {
         &self.sms_rpc
     }
@@ -556,6 +578,7 @@ impl Region {
             self.sms_handles[0].clone(),
             self.fleet.clone(),
             self.tt.clone(),
+            Arc::clone(&self.rt),
         )
     }
 
@@ -565,6 +588,7 @@ impl Region {
             self.sms_for(table).clone(),
             self.fleet.clone(),
             self.tt.clone(),
+            Arc::clone(&self.rt),
         )
     }
 
@@ -600,7 +624,12 @@ impl Region {
     /// assert_eq!(n, 5);
     /// ```
     pub fn engine(&self) -> QueryEngine {
-        QueryEngine::new(self.sms_handles[0].clone(), self.fleet.clone()).with_observability(
+        QueryEngine::new(
+            self.sms_handles[0].clone(),
+            self.fleet.clone(),
+            Arc::clone(&self.rt),
+        )
+        .with_observability(
             self.tt.clone(),
             Arc::clone(&self.read_cache),
             Arc::clone(&self.freshness),
@@ -619,14 +648,20 @@ impl Region {
         &self.freshness
     }
 
-    /// One unified snapshot of the process-wide metrics registry plus
-    /// this region's per-method RPC statistics — what `/varz` would
-    /// serve. See [`MetricsSnapshot::to_table`] / `to_json`.
+    /// One unified snapshot of this region's metrics registry — every
+    /// component's counters and histograms, the `rpc.<channel>.<method>.*`
+    /// entries of both channels, and this region's crash-point fires;
+    /// what `/varz` would serve. See [`MetricsSnapshot::to_table`] /
+    /// `to_json`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = obs::global().snapshot();
-        snap.add_rpc("sms", self.sms_rpc.metrics());
-        snap.add_rpc("server", self.server_rpc.metrics());
-        snap
+        self.rt.snapshot()
+    }
+
+    /// This region's crash-point plan: tests arm points here (e.g.
+    /// `region.crash_points().arm_permille(..)`), and only this region's
+    /// components check them.
+    pub fn crash_points(&self) -> &CrashPlan {
+        self.rt.crash_points()
     }
 
     /// The DML executor.

@@ -291,3 +291,60 @@ fn doc_example_compiles_and_runs() {
         .unwrap();
     assert_eq!(client.read_rows(table.table).unwrap().rows.len(), 1);
 }
+
+/// Two regions in one process share no runtime state: each owns its
+/// metrics registry, freshness probe and crash-point plan, so neither
+/// sees the other's traffic, and a point armed on one never fires on
+/// the other's path.
+#[test]
+fn regions_in_one_process_share_no_runtime_state() {
+    let a = Region::create(RegionConfig::default()).unwrap();
+    let b = Region::create(RegionConfig::default()).unwrap();
+    // Traffic in both: appends, then one scan each.
+    let mut tables = Vec::new();
+    for (region, n) in [(&a, 10), (&b, 25)] {
+        let client = region.client();
+        let t = client.create_table("iso", schema()).unwrap().table;
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        w.append(rows(0, n)).unwrap();
+        let seen = region
+            .engine()
+            .count(t, client.snapshot(), &ScanOptions::default())
+            .unwrap();
+        assert_eq!(seen, n as u64);
+        tables.push((client, w, t));
+    }
+
+    // Neither snapshot counts the other region's traffic.
+    let (sa, sb) = (a.metrics_snapshot(), b.metrics_snapshot());
+    for (snap, rows_appended) in [(&sa, 10), (&sb, 25)] {
+        assert_eq!(snap.counters["append.client.rows"], rows_appended);
+        assert_eq!(snap.counters["append.client.calls"], 1);
+        assert_eq!(snap.counters["rpc.server.append.calls"], 1);
+        assert_eq!(snap.counters["rpc.sms.create_table.calls"], 1);
+        assert_eq!(snap.counters["scan.calls"], 1);
+        assert_eq!(snap.counters["scan.rows_matched"], rows_appended);
+    }
+
+    // Disjoint freshness probes: a 10-row region reports 10.
+    assert_eq!(a.freshness().rows_observed(), 10);
+    assert_eq!(b.freshness().rows_observed(), 25);
+    assert_eq!(sa.histograms["freshness.commit_to_visible_us"].count, 10);
+
+    // A point armed on A is invisible on B's path: B's append passes
+    // through the same point untouched and kills nothing.
+    let guard = a.crash_points().arm_nth("server.append.pre_ack", 1);
+    let (_, wb, _) = &mut tables[1];
+    wb.append(rows(25, 5)).unwrap();
+    assert_eq!(guard.hits(), 0, "B's append reached A's armed point");
+    assert!(b.server_channels().iter().all(|c| !c.is_dead()));
+    // A's own append reaches it and the point fires there (the writer
+    // may still succeed by reconciling onto another server).
+    let (_, wa, _) = &mut tables[0];
+    let _ = wa.append(rows(10, 5));
+    assert_eq!(guard.fires(), 1);
+    assert!(a.server_channels().iter().any(|c| c.is_dead()));
+    drop(guard);
+    assert_eq!(a.metrics_snapshot().crash_point_fires, 1);
+    assert_eq!(b.metrics_snapshot().crash_point_fires, 0);
+}

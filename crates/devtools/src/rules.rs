@@ -63,14 +63,6 @@ pub const CLOCK_ALLOWED_FILES: &[&str] = &[
 /// throttling waits elsewhere bypass its per-class accounting (L009).
 pub const ADMISSION_CRATE_PREFIX: &str = "crates/admission/";
 
-/// Files allowed to declare process-wide atomic statics: the unified
-/// metrics registry and the crash-point framework are the two sanctioned
-/// owners of global mutable counters (L008).
-pub const OBS_ALLOWED_FILES: &[&str] = &[
-    "crates/common/src/obs.rs",
-    "crates/common/src/crashpoints.rs",
-];
-
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -523,21 +515,19 @@ fn rule_l007(
     }
 }
 
-/// L008 metric-discipline: no ad-hoc `static …: Atomic*` counters
-/// outside the observability layer ([`OBS_ALLOWED_FILES`]). A private
-/// atomic static is a metric the unified registry snapshot cannot see —
-/// register it through `vortex_common::obs::global()` (counter, gauge,
-/// or histogram) so one pane of glass covers the whole process.
-/// Struct-field atomics (per-instance state like `ReadCache` hit
-/// counters) are fine; only module/function-scope statics fire.
+/// L008 runtime-state discipline: no process-global runtime state. A
+/// non-test `static` whose type is an `Atomic*`, `OnceLock`, `Mutex`, or
+/// `RwLock` is mutable state shared by every region in the process —
+/// metrics, fault plans, caches — so regions (and tests) running side by
+/// side would see each other's traffic. Runtime state belongs to the
+/// region's `vortex_common::runtime::Runtime` (or to a component it
+/// builds). Struct-field atomics and locks (per-instance state) are fine;
+/// only module/function-scope statics fire, in every file.
 fn rule_l008(
     input: &FileInput<'_>,
     is_test_line: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    if OBS_ALLOWED_FILES.contains(&input.rel_path) {
-        return;
-    }
     let code = &input.masked.code;
     let bytes = code.as_bytes();
     for at in occurrences_at(code, "static ") {
@@ -552,22 +542,28 @@ fn rule_l008(
         if is_test_line(line) {
             continue;
         }
-        // Declaration head = up to the initializer or terminator; an
-        // atomic type annotation there marks an ad-hoc counter.
+        // Declaration head = up to the initializer or terminator; its
+        // type annotation is the text after the first `:`.
         let head_end = code[at..]
             .find(['=', ';', '{'])
             .map(|o| at + o)
             .unwrap_or(code.len());
         let head = &code[at..head_end];
-        if head.contains(": Atomic") || head.contains(":Atomic") {
+        let Some(ty) = head.split_once(':').map(|(_, t)| t.trim_start()) else {
+            continue;
+        };
+        let stateful = ["Atomic", "OnceLock", "Mutex", "RwLock"]
+            .iter()
+            .any(|t| ty.starts_with(t) || ty.contains(&format!("::{t}")));
+        if stateful {
             out.push(Violation {
                 rule: "L008",
                 crate_name: input.crate_name.to_string(),
                 path: input.rel_path.to_string(),
                 line,
-                message: "ad-hoc atomic counter static outside the obs layer; \
-                          register it via `vortex_common::obs::global()` so the \
-                          unified snapshot sees it"
+                message: "process-global runtime state (`static` atomic, \
+                          `OnceLock`, `Mutex` or `RwLock`); keep it in the \
+                          region's `Runtime` or a component it builds"
                     .to_string(),
             });
         }
@@ -657,7 +653,7 @@ fn rule_l009(
     }
 }
 
-/// Extracts `crash_point!("name")` call sites from a masked file as
+/// Extracts `crash_point!(rt, "name")` call sites from a masked file as
 /// `(name, 1-based line)` pairs, in file order. Test context is NOT
 /// filtered here — callers apply their own predicate.
 pub fn crash_point_call_sites(masked: &MaskedSource) -> Vec<(String, usize)> {
@@ -666,14 +662,13 @@ pub fn crash_point_call_sites(masked: &MaskedSource) -> Vec<(String, usize)> {
     let mut sites = Vec::new();
     for at in occurrences_at(code, "crash_point!") {
         let after = at + "crash_point!".len();
-        // The name is the next string literal, with only `(` and
-        // whitespace between it and the macro bang.
+        // The name is the next string literal: the macro's second
+        // argument, after `(`, the runtime expression, and a comma.
         let Some(lit) = masked.strings.iter().find(|s| s.offset >= after) else {
             continue;
         };
-        if !code[after..lit.offset]
-            .chars()
-            .all(|c| c.is_whitespace() || c == '(')
+        let between = code[after..lit.offset].trim();
+        if !between.starts_with('(') || !between.ends_with(',') || between.contains([';', '{', '}'])
         {
             continue;
         }

@@ -283,9 +283,9 @@ fn l007_fires_on_malformed_names() {
     // Two segments, an uppercase segment, and four segments all break
     // the `component.operation.moment` convention.
     let src = "fn f() -> vortex_common::error::VortexResult<()> {\n\
-               vortex_common::crash_point!(\"server.append\");\n\
-               vortex_common::crash_point!(\"Server.append.pre_ack\");\n\
-               vortex_common::crash_point!(\"a.b.c.d\");\n\
+               vortex_common::crash_point!(self.rt, \"server.append\");\n\
+               vortex_common::crash_point!(rt, \"Server.append.pre_ack\");\n\
+               vortex_common::crash_point!(client.runtime(), \"a.b.c.d\");\n\
                Ok(()) }\n";
     assert_eq!(
         rules_for(src, "crates/server/src/x.rs", "vortex-server"),
@@ -296,8 +296,8 @@ fn l007_fires_on_malformed_names() {
 #[test]
 fn l007_fires_on_within_file_duplicate() {
     let src = "fn f() -> vortex_common::error::VortexResult<()> {\n\
-               vortex_common::crash_point!(\"server.append.pre_ack\");\n\
-               vortex_common::crash_point!(\"server.append.pre_ack\");\n\
+               vortex_common::crash_point!(self.rt, \"server.append.pre_ack\");\n\
+               vortex_common::crash_point!(d.rt, \"server.append.pre_ack\");\n\
                Ok(()) }\n";
     assert_eq!(
         rules_for(src, "crates/server/src/x.rs", "vortex-server"),
@@ -308,13 +308,13 @@ fn l007_fires_on_within_file_duplicate() {
 #[test]
 fn l007_silent_on_valid_unique_names_and_test_context() {
     let src = "fn f() -> vortex_common::error::VortexResult<()> {\n\
-               vortex_common::crash_point!(\"server.append.pre_ack\");\n\
-               vortex_common::crash_point!(\"server.gc.mid\");\n\
+               vortex_common::crash_point!(rt, \"server.append.pre_ack\");\n\
+               vortex_common::crash_point!(self.rt, \"server.gc.mid\");\n\
                Ok(()) }\n";
     assert!(rules_for(src, "crates/server/src/x.rs", "vortex-server").is_empty());
     // Bad names in test files and `#[cfg(test)]` modules are exempt —
     // tests may exercise the macro with throwaway names.
-    let bad = "vortex_common::crash_point!(\"whatever\");\n";
+    let bad = "vortex_common::crash_point!(rt, \"whatever\");\n";
     assert!(scan_str(bad, "tests/chaos.rs", "vortex", true).is_empty());
     let in_mod =
         format!("fn prod() {{}}\n#[cfg(test)]\nmod tests {{\n    fn t() {{ {bad} }}\n}}\n");
@@ -386,7 +386,7 @@ fn l007_registry_names_parse_the_const_array() {
 fn l008_fires_on_module_scope_atomic_static() {
     let src = "use std::sync::atomic::AtomicU64;\n\
                static APPENDS: AtomicU64 = AtomicU64::new(0);\n\
-               pub static PUB_HITS: AtomicUsize = AtomicUsize::new(0);\n";
+               pub static PUB_HITS: std::sync::atomic::AtomicUsize = AtomicUsize::new(0);\n";
     assert_eq!(
         rules_for(src, "crates/server/src/x.rs", "vortex-server"),
         ["L008", "L008"]
@@ -403,20 +403,41 @@ fn l008_fires_on_function_local_atomic_static() {
 }
 
 #[test]
+fn l008_fires_on_global_registries_and_locks() {
+    // A process-global registry or plan is exactly the shared runtime
+    // state the rule exists to keep out, whatever wraps it.
+    let src = "static R: OnceLock<Registry> = OnceLock::new();\n\
+               static PLAN: std::sync::OnceLock<RwLock<Plan>> = std::sync::OnceLock::new();\n\
+               static M: Mutex<Vec<u64>> = Mutex::new(Vec::new());\n\
+               static L: parking_lot::RwLock<u64> = parking_lot::RwLock::new(0);\n";
+    assert_eq!(
+        rules_for(src, "crates/common/src/x.rs", "vortex-common"),
+        ["L008", "L008", "L008", "L008"]
+    );
+}
+
+#[test]
 fn l008_silent_on_lifetimes_fields_and_non_atomic_statics() {
-    // `&'static` lifetimes, struct-field atomics (per-instance state),
-    // and non-atomic statics (lookup tables) are all fine.
-    let src = "pub struct C { hits: std::sync::atomic::AtomicU64 }\n\
+    // `&'static` lifetimes, struct-field atomics and locks (per-instance
+    // state), and non-atomic statics (lookup tables) are all fine.
+    let src = "pub struct C { hits: std::sync::atomic::AtomicU64, m: Mutex<u64> }\n\
+               pub struct P { points: RwLock<Vec<u64>>, armed: AtomicUsize }\n\
                static TABLES: [u32; 4] = [0, 1, 2, 3];\n\
                fn f(s: &'static str) -> &'static str { s }\n";
     assert!(rules_for(src, "crates/client/src/x.rs", "vortex-client").is_empty());
 }
 
 #[test]
-fn l008_exempts_the_obs_layer() {
+fn l008_no_file_is_exempt() {
+    // The observability layer and the crash-point framework once owned
+    // process-global state; now every file is held to the rule.
     let src = "static TOTAL_FIRES: AtomicU64 = AtomicU64::new(0);\n";
-    assert!(rules_for(src, "crates/common/src/obs.rs", "vortex-common").is_empty());
-    assert!(rules_for(src, "crates/common/src/crashpoints.rs", "vortex-common").is_empty());
+    for path in [
+        "crates/common/src/obs.rs",
+        "crates/common/src/crashpoints.rs",
+    ] {
+        assert_eq!(rules_for(src, path, "vortex-common"), ["L008"]);
+    }
 }
 
 #[test]
@@ -426,7 +447,7 @@ fn l008_silent_in_test_context_and_suppressible() {
     let in_mod = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    \
                   static N: AtomicU64 = AtomicU64::new(0);\n}\n";
     assert!(rules_for(in_mod, "crates/server/src/x.rs", "vortex-server").is_empty());
-    let suppressed = "// lint:allow(L008, fixture-local scratch counter)\n\
+    let suppressed = "// lint:allow(L008, fixture-local filename nonce)\n\
                       static N: AtomicU64 = AtomicU64::new(0);\n";
     assert!(rules_for(suppressed, "crates/server/src/x.rs", "vortex-server").is_empty());
 }

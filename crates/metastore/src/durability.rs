@@ -44,9 +44,9 @@ use std::sync::Arc;
 
 use vortex_colossus::Colossus;
 use vortex_common::codec::{get_uvarint, put_uvarint};
-use vortex_common::crashpoints;
 use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::{Timestamp, TrueTime};
 
 use crate::MetaStore;
@@ -85,7 +85,7 @@ fn ptr_path(generation: u64) -> String {
 /// Process-unique nonce source for checkpoint filenames: two racing
 /// checkpointers proposing the same version must write distinct files.
 fn next_nonce() -> u64 {
-    // lint:allow(L008, uniqueness source for filenames, not a metric; exporting it to /varz would be noise)
+    // lint:allow(L008, filename uniqueness must hold across every region sharing the process, so this nonce is deliberately process-wide; it is not runtime state)
     static NONCE: AtomicU64 = AtomicU64::new(1);
     NONCE.fetch_add(1, Ordering::Relaxed)
 }
@@ -254,6 +254,9 @@ fn read_ptr_state(cluster: &Colossus) -> VortexResult<PtrState> {
 /// The WAL + checkpoint state attached to a durable [`MetaStore`].
 pub(crate) struct Durability {
     cluster: Arc<Colossus>,
+    /// The region runtime whose crash plan the durable-write points
+    /// check.
+    rt: Arc<Runtime>,
     /// The WAL epoch commits currently append to. Bumped by checkpoints
     /// (so a snapshot covers exactly the epochs before it) and after
     /// any failed append (so new records never land behind a tail of
@@ -295,7 +298,7 @@ impl Durability {
         // durably and the commit is never acknowledged. Direct `check`
         // call (not the macro) because the torn prefix must be written
         // before the error unwinds.
-        if let Err(crash) = crashpoints::check("meta.wal.mid_append") {
+        if let Err(crash) = self.rt.crash_points().check("meta.wal.mid_append") {
             let keep = torn_prefix(&framed);
             if keep > 0 {
                 let _ = self.cluster.append(&path, &framed[..keep], Timestamp::MIN);
@@ -406,10 +409,12 @@ impl MetaStore {
     /// ones) plus a frame-by-frame replay of the uncovered WAL tail.
     /// An empty cluster cold-starts an empty durable store. All
     /// subsequent commits through the returned store are WAL-logged
-    /// before being acknowledged.
+    /// before being acknowledged, and its durable-write crash points
+    /// check `rt`'s plan.
     pub fn recover(
         tt: TrueTime,
         cluster: &Arc<Colossus>,
+        rt: Arc<Runtime>,
     ) -> VortexResult<(Arc<Self>, MetaRecovery)> {
         let mut report = MetaRecovery::default();
         let state = read_ptr_state(cluster)?;
@@ -464,6 +469,7 @@ impl MetaStore {
         // Fresh epoch: never append behind a tail of unknown integrity.
         let d = Durability {
             cluster: Arc::clone(cluster),
+            rt,
             epoch: AtomicU64::new(max_epoch + 1),
         };
         // lint:allow(L010, cold-start recovery; runs once per process, never on the data path)
@@ -521,7 +527,7 @@ impl MetaStore {
         let framed = frame(&body);
         // Mid-write process death: a torn, unpublished candidate file.
         // Direct `check` call so the torn prefix lands first.
-        if let Err(crash) = crashpoints::check("meta.checkpoint.mid_write") {
+        if let Err(crash) = d.rt.crash_points().check("meta.checkpoint.mid_write") {
             let keep = torn_prefix(&framed);
             if keep > 0 {
                 let _ = d.cluster.append(&path, &framed[..keep], Timestamp::MIN);
@@ -531,7 +537,7 @@ impl MetaStore {
         d.cluster.append(&path, &framed, Timestamp::MIN)?;
         // Fully durable but not yet published: recovery still uses the
         // previous checkpoint (plus a longer WAL tail) if we die here.
-        vortex_common::crash_point!("meta.checkpoint.pre_publish");
+        vortex_common::crash_point!(d.rt, "meta.checkpoint.pre_publish");
         let ptr_file = ptr_path(state.append_gen);
         if state.needs_anchor {
             // Fresh generation (the previous one ended in a torn tail,
@@ -636,14 +642,9 @@ fn load_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use vortex_common::ids::ClusterId;
     use vortex_common::latency::WriteProfile;
     use vortex_common::truetime::SimClock;
-
-    /// Crash points and fault tokens are process-global; durable-store
-    /// tests must not see each other's.
-    static ARM_LOCK: Mutex<()> = Mutex::new(());
 
     fn tt() -> TrueTime {
         TrueTime::simulated(SimClock::new(1_000), 10, 0)
@@ -673,15 +674,14 @@ mod tests {
 
     #[test]
     fn empty_cluster_cold_starts_durable_and_empty() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep, MetaRecovery::default());
         assert!(s.is_durable());
         assert_eq!(s.version_count(), 0);
         // The cold-started store logs commits immediately.
         put(&s, "a", b"1");
-        let (s2, rep2) = MetaStore::recover(tt(), &c).unwrap();
+        let (s2, rep2) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep2.commits_replayed, 1);
         assert_eq!(rep2.checkpoint_version, None);
         assert_eq!(s2.read_at("a", s2.now()), Some(b"1".to_vec()));
@@ -689,23 +689,21 @@ mod tests {
 
     #[test]
     fn wal_replay_restores_every_acked_commit() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s, "a", b"1");
         put(&s, "b", b"2");
         put(&s, "a", b"3");
         del(&s, "b");
-        let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.commits_replayed, 4);
         assert_eq!(r.snapshot_bytes(), s.snapshot_bytes());
     }
 
     #[test]
     fn torn_wal_append_aborts_commit_and_replay_drops_the_tail() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s, "acked", b"1");
         // The next WAL append durably persists only a seeded prefix and
         // fails: the commit must not ack or install.
@@ -718,7 +716,7 @@ mod tests {
         // The epoch rotated past the unreadable tail, so later commits
         // stay recoverable.
         put(&s, "after", b"2");
-        let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.commits_replayed, 2);
         assert_eq!(r.read_at("lost", r.now()), None);
         assert_eq!(r.snapshot_bytes(), s.snapshot_bytes());
@@ -726,12 +724,12 @@ mod tests {
 
     #[test]
     fn mid_append_crash_is_atomic_per_commit() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let rt = Runtime::new();
+        let (s, _) = MetaStore::recover(tt(), &c, Arc::clone(&rt)).unwrap();
         put(&s, "a", b"1");
         let before = s.now();
-        let guard = crashpoints::arm_nth("meta.wal.mid_append", 1);
+        let guard = rt.crash_points().arm_nth("meta.wal.mid_append", 1);
         let mut t = s.begin();
         t.put("dead", b"x".to_vec());
         let err = t.commit().unwrap_err();
@@ -741,16 +739,15 @@ mod tests {
         assert_eq!(s.now(), before);
         assert_eq!(s.read_at("dead", s.now()), None);
         put(&s, "b", b"2");
-        let (r, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(r.read_at("dead", r.now()), None);
         assert_eq!(r.snapshot_bytes(), s.snapshot_bytes());
     }
 
     #[test]
     fn checkpoint_bounds_recovery_to_the_tail() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         for i in 0..5 {
             put(&s, &format!("k{i}"), b"v");
         }
@@ -760,7 +757,7 @@ mod tests {
         for i in 0..3 {
             put(&s, &format!("tail{i}"), b"v");
         }
-        let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.checkpoint_version, Some(1));
         assert_eq!(rep.commits_replayed, 3, "{rep:?}");
         assert_eq!(rep.commits_skipped, 0, "{rep:?}");
@@ -772,7 +769,7 @@ mod tests {
         let o2 = s.checkpoint().unwrap();
         assert_eq!(o2.version, 2);
         assert_eq!(o2.wal_files_deleted, 0, "{o2:?}");
-        let (r2, rep2) = MetaStore::recover(tt(), &c).unwrap();
+        let (r2, rep2) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep2.checkpoint_version, Some(2));
         assert_eq!(rep2.commits_replayed, 0, "{rep2:?}");
         assert_eq!(r2.snapshot_bytes(), s.snapshot_bytes());
@@ -783,9 +780,8 @@ mod tests {
 
     #[test]
     fn corrupt_newest_checkpoint_falls_back_to_previous() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s, "a", b"1");
         s.checkpoint().unwrap();
         put(&s, "b", b"2");
@@ -795,7 +791,7 @@ mod tests {
         // pointer chain): recovery walks back to version 1 and replays
         // a longer tail instead.
         c.delete(&newest_ckpt_file(&c)).unwrap();
-        let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.checkpoint_version, Some(1), "{rep:?}");
         assert_eq!(rep.fallback_depth, 1, "{rep:?}");
         assert_eq!(rep.commits_replayed, 2, "{rep:?}");
@@ -804,9 +800,8 @@ mod tests {
 
     #[test]
     fn cas_loser_record_is_rejected_by_the_fold() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s, "a", b"1");
         s.checkpoint().unwrap();
         // A split-brain rival that read the chain before our publish
@@ -825,16 +820,15 @@ mod tests {
         // Publishing continues linearly past the rejected record.
         let o = s.checkpoint().unwrap();
         assert_eq!(o.version, 2);
-        let (_, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (_, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.checkpoint_version, Some(2));
         assert_eq!(rep.fallback_depth, 0);
     }
 
     #[test]
     fn torn_pointer_tail_rotates_generation_and_heals() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s, "a", b"1");
         let o1 = s.checkpoint().unwrap();
         // A death mid-pointer-append leaves a torn frame at the tail of
@@ -849,7 +843,7 @@ mod tests {
         let o2 = s.checkpoint().unwrap();
         assert_eq!(o2.version, o1.version + 1);
         assert_eq!(c.list(PTR_PREFIX).unwrap(), vec![ptr_path(1)]);
-        let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(rep.checkpoint_version, Some(o2.version));
         assert_eq!(rep.fallback_depth, 0);
         assert_eq!(r.snapshot_bytes(), s.snapshot_bytes());
@@ -861,13 +855,12 @@ mod tests {
 
     #[test]
     fn concurrent_checkpoints_publish_one_linear_chain() {
-        let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let c = mem_cluster();
-        let (s1, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s1, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         put(&s1, "seed", b"1");
         // A second durable store over the same cluster: a split-brain
         // SMS task during a Slicer double-ownership window.
-        let (s2, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (s2, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         let oks = std::sync::atomic::AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
@@ -893,7 +886,7 @@ mod tests {
         // And the durable ledger still equals the store that owns all
         // the commits, even if a stale split-brain snapshot published
         // last (the WAL tail fills the gap).
-        let (r, _) = MetaStore::recover(tt(), &c).unwrap();
+        let (r, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
         assert_eq!(r.snapshot_bytes(), s1.snapshot_bytes());
     }
 
@@ -923,9 +916,8 @@ mod tests {
             /// since the last checkpoint — never full history.
             #[test]
             fn replay_of_checkpoint_plus_tail_equals_pre_crash(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-                let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
                 let c = mem_cluster();
-                let (s, _) = MetaStore::recover(tt(), &c).unwrap();
+                let (s, _) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
                 let mut since_ckpt = 0usize;
                 let mut ckpts = 0usize;
                 for op in ops {
@@ -945,7 +937,7 @@ mod tests {
                         }
                     }
                 }
-                let (r, rep) = MetaStore::recover(tt(), &c).unwrap();
+                let (r, rep) = MetaStore::recover(tt(), &c, Runtime::new()).unwrap();
                 prop_assert_eq!(r.snapshot_bytes(), s.snapshot_bytes());
                 prop_assert_eq!(rep.commits_replayed, since_ckpt);
                 prop_assert_eq!(rep.checkpoint_version, (ckpts > 0).then_some(ckpts as u64));

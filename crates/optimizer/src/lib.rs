@@ -27,13 +27,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vortex_colossus::StorageFleet;
+use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{IdGen, StreamletId, TableId};
 use vortex_common::row::{Row, Value};
 use vortex_common::rpc::{class_scope, WorkClass};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::Schema;
-use vortex_common::truetime::{Timestamp, TrueTime};
+use vortex_common::truetime::Timestamp;
 use vortex_ros::{RosBlock, RosBlockBuilder, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
@@ -100,23 +101,45 @@ pub struct StorageOptimizer {
     sms: SmsHandle,
     fleet: StorageFleet,
     ids: Arc<IdGen>,
+    rt: Arc<Runtime>,
     cfg: OptimizerConfig,
 }
 
+/// Writes `bytes` as the whole of a fresh file. A background service
+/// retries transient write errors itself rather than abandoning the
+/// whole conversion pass — but a failed append may have persisted a torn
+/// prefix, and a retry appended behind it would leave the block at a
+/// non-zero offset (read back as a CRC mismatch). Each retry therefore
+/// starts from a deleted file.
+fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResult<()> {
+    let mut attempt = 0;
+    loop {
+        match cluster.append(path, bytes, Timestamp::MIN) {
+            Ok(_) => return Ok(()),
+            Err(e) if attempt == 2 => return Err(e),
+            Err(_) => {
+                cluster.delete(path)?;
+                attempt += 1;
+            }
+        }
+    }
+}
+
 impl StorageOptimizer {
-    /// Creates the service over shared infrastructure.
+    /// Creates the service over shared infrastructure; its crash points
+    /// check `rt`'s plan.
     pub fn new(
         sms: SmsHandle,
         fleet: StorageFleet,
-        tt: TrueTime,
         ids: Arc<IdGen>,
+        rt: Arc<Runtime>,
         cfg: OptimizerConfig,
     ) -> Self {
-        let _ = tt; // reserved for future time-based pacing
         Self {
             sms,
             fleet,
             ids,
+            rt,
             cfg,
         }
     }
@@ -218,20 +241,11 @@ impl StorageOptimizer {
         if let Some(bucket) = bucket {
             let path = vortex_sms::meta::blmt_path(bucket, table, fragment);
             let bytes = block.to_bytes(key, fragment.raw());
-            let store = self.fleet.get(vortex_colossus::BUCKET_CLUSTER_ID)?;
-            let mut last = None;
-            for _ in 0..3 {
-                match store.append(&path, &bytes, Timestamp::MIN) {
-                    Ok(_) => {
-                        last = None;
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                return Err(e);
-            }
+            write_whole_file(
+                self.fleet.get(vortex_colossus::BUCKET_CLUSTER_ID)?,
+                &path,
+                &bytes,
+            )?;
             return Ok(FragmentMeta {
                 fragment,
                 table,
@@ -258,22 +272,7 @@ impl StorageOptimizer {
         let path = ros_path(table, fragment);
         let bytes = block.to_bytes(key, fragment.raw());
         for c in clusters {
-            // A background service retries transient write errors itself
-            // rather than abandoning the whole conversion pass.
-            let cluster = self.fleet.get(c)?;
-            let mut last = None;
-            for _ in 0..3 {
-                match cluster.append(&path, &bytes, Timestamp::MIN) {
-                    Ok(_) => {
-                        last = None;
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                return Err(e);
-            }
+            write_whole_file(self.fleet.get(c)?, &path, &bytes)?;
         }
         Ok(FragmentMeta {
             fragment,
@@ -363,7 +362,7 @@ impl StorageOptimizer {
         // unregistered in the metastore: invisible garbage, never served
         // to readers. The WOS sources stay live and the next pass redoes
         // the conversion (§5.4.3).
-        vortex_common::crash_point!("optimizer.convert.pre_commit");
+        vortex_common::crash_point!(self.rt, "optimizer.convert.pre_commit");
         self.sms
             .commit_conversion(table, &sources, replacements, true)?;
         Ok(report)
@@ -518,7 +517,7 @@ impl StorageOptimizer {
         }
         // Same invariant as conversion: merged blocks written but not
         // yet registered are invisible; sources remain authoritative.
-        vortex_common::crash_point!("optimizer.recluster.pre_commit");
+        vortex_common::crash_point!(self.rt, "optimizer.recluster.pre_commit");
         self.sms
             .commit_conversion(table, &sources, replacements, true)?;
         Ok(ReclusterReport {

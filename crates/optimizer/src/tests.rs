@@ -10,6 +10,7 @@ use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
@@ -38,12 +39,14 @@ fn rig_with(cfg: OptimizerConfig) -> Rig {
     let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 17);
     let store = MetaStore::new(tt.clone());
     let ids = Arc::new(IdGen::new(1));
+    let rt = Runtime::new();
     let sms = SmsTask::new(
         SmsConfig::new(SmsTaskId::from_raw(0), ClusterId::from_raw(0)),
         store,
         fleet.clone(),
         tt.clone(),
         Arc::clone(&ids),
+        Arc::clone(&rt),
         None,
     );
     for i in 0..2u64 {
@@ -52,13 +55,15 @@ fn rig_with(cfg: OptimizerConfig) -> Rig {
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
         )
         .unwrap();
         sms.register_server(server);
     }
     let handle: vortex_sms::api::SmsHandle = sms.clone();
-    let opt = StorageOptimizer::new(handle.clone(), fleet.clone(), tt.clone(), ids, cfg);
-    let client = vortex_client::VortexClient::new(handle, fleet.clone(), tt.clone());
+    let opt = StorageOptimizer::new(handle.clone(), fleet.clone(), ids, Arc::clone(&rt), cfg);
+    let client =
+        vortex_client::VortexClient::new(handle, fleet.clone(), tt.clone(), Arc::clone(&rt));
     Rig {
         sms,
         fleet,
@@ -541,4 +546,23 @@ fn read_path_mixes_wos_and_ros() {
     .unwrap();
     assert_eq!(amounts(&tr), (0..200).collect::<Vec<_>>());
     let _ = &r.tt;
+}
+
+/// A torn ROS block write (a failed append that still persisted a
+/// prefix) is retried from an empty file: the registered block must
+/// start at offset 0, not behind the torn prefix.
+#[test]
+fn conversion_retries_a_torn_block_write_from_an_empty_file() {
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    ingest(&r, t.table, 0, 300);
+    for c in r.fleet.cluster_ids() {
+        let faults = r.fleet.get(c).unwrap().faults();
+        faults.set_torn_seed(0x70F2);
+        faults.torn_next_appends(1);
+    }
+    let report = r.opt.convert_wos(t.table).unwrap();
+    assert_eq!(report.rows, 300);
+    let after = r.client.read_rows(t.table).unwrap();
+    assert_eq!(amounts(&after), (0..300).collect::<Vec<_>>());
 }

@@ -13,6 +13,7 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::TableId;
 use vortex_common::obs::{self, FreshnessProbe};
 use vortex_common::row::{Row, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -191,6 +192,8 @@ pub enum AggKind {
 pub struct QueryEngine {
     sms: SmsHandle,
     fleet: StorageFleet,
+    /// The region runtime `scan.*` metrics and spans are recorded into.
+    rt: Arc<Runtime>,
     /// Virtual clock for scan spans and the freshness probe's
     /// "visible at" stamp. Optional: bare engines stay uninstrumented.
     tt: Option<TrueTime>,
@@ -201,11 +204,13 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Creates an engine over the control plane + storage fleet.
-    pub fn new(sms: SmsHandle, fleet: StorageFleet) -> Self {
+    /// Creates an engine over the control plane + storage fleet,
+    /// recording its metrics into `rt`.
+    pub fn new(sms: SmsHandle, fleet: StorageFleet, rt: Arc<Runtime>) -> Self {
         Self {
             sms,
             fleet,
+            rt,
             tt: None,
             cache: None,
             probe: None,
@@ -213,8 +218,7 @@ impl QueryEngine {
     }
 
     /// Wires the engine into the observability layer: scans go through
-    /// `cache`, record `scan.*` metrics and spans against the global
-    /// registry, and feed `probe` with commit-to-visible latencies
+    /// `cache`, record `scan.*` spans, and feed `probe` with commit-to-visible latencies
     /// stamped by `tt` (§8 freshness, measured at the query engine).
     pub fn with_observability(
         mut self,
@@ -398,7 +402,7 @@ impl QueryEngine {
         )))
     }
 
-    /// Folds one successful scan into the global registry: `scan.*`
+    /// Folds one successful scan into the region registry: `scan.*`
     /// counters mirroring [`ScanStats`], the `span.scan.us` histogram
     /// (virtual time; usually 0 because the sim clock does not advance
     /// during scan CPU work), and the commit-to-visible freshness probe
@@ -410,7 +414,7 @@ impl QueryEngine {
         scan_start: Option<Timestamp>,
         visible_ts: &[Timestamp],
     ) {
-        let m = obs::global();
+        let m = self.rt.metrics();
         m.counter("scan.calls").inc();
         m.counter("scan.fragments_total")
             .add(stats.fragments_total as u64);
@@ -432,7 +436,7 @@ impl QueryEngine {
         if let Some(tt) = &self.tt {
             let end = tt.now().latest;
             if let Some(start) = scan_start {
-                obs::Span::begin("scan", start).end(end);
+                obs::Span::begin("scan", start).end_into(m, end);
             }
             if let Some(probe) = &self.probe {
                 probe.observe(table, visible_ts.iter().copied(), end);

@@ -778,7 +778,11 @@ pub struct SqlSession {
 impl SqlSession {
     /// Creates a session.
     pub fn new(client: VortexClient) -> Self {
-        let engine = QueryEngine::new(Arc::clone(client.sms()), client.fleet().clone());
+        let engine = QueryEngine::new(
+            Arc::clone(client.sms()),
+            client.fleet().clone(),
+            Arc::clone(client.runtime()),
+        );
         let dml = DmlExecutor::new(client.clone());
         Self {
             client,

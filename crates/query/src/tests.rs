@@ -11,6 +11,7 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
@@ -43,12 +44,14 @@ fn rig_with_block_rows(target_block_rows: usize) -> Rig {
     let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 23);
     let store = MetaStore::new(tt.clone());
     let ids = Arc::new(IdGen::new(1));
+    let rt = Runtime::new();
     let sms = SmsTask::new(
         SmsConfig::new(SmsTaskId::from_raw(0), ClusterId::from_raw(0)),
         store,
         fleet.clone(),
         tt.clone(),
         Arc::clone(&ids),
+        Arc::clone(&rt),
         None,
     );
     for i in 0..2u64 {
@@ -57,18 +60,19 @@ fn rig_with_block_rows(target_block_rows: usize) -> Rig {
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
         )
         .unwrap();
         sms.register_server(server);
     }
     let handle: vortex_sms::api::SmsHandle = sms.clone();
-    let client = VortexClient::new(handle.clone(), fleet.clone(), tt.clone());
-    let engine = QueryEngine::new(handle.clone(), fleet.clone());
+    let client = VortexClient::new(handle.clone(), fleet.clone(), tt.clone(), Arc::clone(&rt));
+    let engine = QueryEngine::new(handle.clone(), fleet.clone(), Arc::clone(&rt));
     let opt = StorageOptimizer::new(
         handle,
         fleet.clone(),
-        tt,
         ids,
+        Arc::clone(&rt),
         OptimizerConfig {
             target_block_rows,
             merge_trigger: 0.5,

@@ -7,6 +7,7 @@
 //! repeated failure, finalize the streamlet (§5.3, §5.6).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use vortex_colossus::StorageFleet;
 use vortex_common::bloom::BloomFilter;
@@ -14,6 +15,7 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, IdGen};
 use vortex_common::obs;
 use vortex_common::row::{Row, RowSet};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::FieldMode;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -98,6 +100,8 @@ pub struct HostedStreamlet {
     /// How many entries of `done` have already been handed to the WAL
     /// (see [`HostedStreamlet::drain_unlogged_seals`]).
     wal_logged_seals: usize,
+    /// The hosting server's region runtime (metrics, crash points).
+    rt: Arc<Runtime>,
 }
 
 /// Columns eligible for per-fragment zone-map stats: scalar, non-repeated.
@@ -192,6 +196,7 @@ impl HostedStreamlet {
         ids: &IdGen,
         fleet: &StorageFleet,
         tt: &TrueTime,
+        rt: &Arc<Runtime>,
     ) -> VortexResult<Self> {
         let tracked_cols = tracked_columns(&spec);
         let key_cols = key_columns(&spec);
@@ -210,6 +215,7 @@ impl HostedStreamlet {
             tracked_cols,
             key_cols,
             wal_logged_seals: 0,
+            rt: Arc::clone(rt),
         };
         sl.open_fragment(0, ids, fleet, tt)?;
         Ok(sl)
@@ -291,7 +297,7 @@ impl HostedStreamlet {
                 // One replica now has the bytes and the other does not —
                 // the §5.6 worst-case instruction for a process death;
                 // reconciliation must converge on the common prefix.
-                vortex_common::crash_point!("server.replica.mid_write");
+                vortex_common::crash_point!(self.rt, "server.replica.mid_write");
             }
             let cluster = fleet.get(c)?;
             let out = cluster.append(path, bytes, start)?;
@@ -301,7 +307,8 @@ impl HostedStreamlet {
         }
         // Colossus replica-write leg of the append span: the max of the
         // two synchronous replica writes (§5.6) is what the ack waits on.
-        obs::global()
+        self.rt
+            .metrics()
             .histogram("append.server.replica_write_us")
             .record(max_service);
         Ok((max_service, completion, lens))
@@ -671,7 +678,7 @@ impl HostedStreamlet {
 
         // Resolve per-entry results, in order, and record metrics for the
         // entries that fully landed.
-        let m = obs::global();
+        let m = self.rt.metrics();
         let mut group_rows = 0u64;
         for (i, a) in acc.iter_mut().enumerate() {
             if let Some(e) = a.failed.take() {
@@ -690,7 +697,7 @@ impl HostedStreamlet {
             }
             group_rows += a.total_rows;
             m.histogram("append.server.service_us").record(a.service_us);
-            obs::Span::begin("append.server", entries[i].start).end(a.completion);
+            obs::Span::begin("append.server", entries[i].start).end_into(m, a.completion);
             // lint:allow(L010, results arena reuse)
             results.push(Ok(AppendAck {
                 first_stream_row: a.first_stream_row,
@@ -741,9 +748,13 @@ impl HostedStreamlet {
             }
             match self.write_owned(fleet, staged, start) {
                 Ok((svc, done_at)) => {
-                    let m = obs::global();
-                    m.counter("append.server.chunks")
-                        .add(staged_chunks.len() as u64);
+                    // Every staged chunk is one encoded WOS data block.
+                    let m = self.rt.metrics();
+                    let blocks = staged_chunks.len() as u64;
+                    let rows: usize = staged_chunks.iter().map(|c| c.hi - c.lo).sum();
+                    m.counter("append.server.chunks").add(blocks);
+                    m.counter("wos.blocks_encoded").add(blocks);
+                    m.counter("wos.rows_encoded").add(rows as u64);
                     let mut last_entry = usize::MAX;
                     for c in staged_chunks.drain(..) {
                         let rows = (c.hi - c.lo) as u64;

@@ -21,6 +21,7 @@ use vortex_common::ids::{ClusterId, IdGen, ServerId, StreamletId, TableId};
 use vortex_common::mailbox::{mailbox, MailboxReceiver, MailboxSender, PostError, ReplySlot};
 use vortex_common::obs;
 use vortex_common::row::RowSet;
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::heartbeat::{HeartbeatReport, HeartbeatResponse};
 use vortex_sms::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
@@ -88,6 +89,8 @@ impl ServerConfig {
 pub struct StreamServer {
     cfg: ServerConfig,
     tt: TrueTime,
+    /// The region runtime the server and its shards record into.
+    rt: Arc<Runtime>,
     /// One mailbox per shard thread, in shard-index order.
     shards: Vec<MailboxSender<ShardMsg>>,
     /// Per-shard writable-streamlet counts, published by the shards.
@@ -109,15 +112,16 @@ pub struct StreamServer {
 
 impl StreamServer {
     /// Starts a server: opens one metadata-log epoch per shard and spawns
-    /// the shard threads.
+    /// the shard threads. Metrics and crash points go through `rt`.
     pub fn new(
         cfg: ServerConfig,
         fleet: StorageFleet,
         tt: TrueTime,
         ids: Arc<IdGen>,
+        rt: Arc<Runtime>,
     ) -> VortexResult<Arc<Self>> {
         // lint:allow(L010, cold construction — once per server lifetime)
-        Self::start(cfg, fleet, tt, ids, HashMap::new())
+        Self::start(cfg, fleet, tt, ids, rt, HashMap::new())
     }
 
     /// Starts a replacement instance after a process death, rebuilding
@@ -133,13 +137,14 @@ impl StreamServer {
         fleet: StorageFleet,
         tt: TrueTime,
         ids: Arc<IdGen>,
+        rt: Arc<Runtime>,
     ) -> VortexResult<Arc<Self>> {
         let summary = Self::recover_summary(&cfg, &fleet)?;
         let mut recovered = HashMap::new();
         for (table, slid, rows) in summary {
             recovered.insert(slid, (table, rows));
         }
-        Self::start(cfg, fleet, tt, ids, recovered)
+        Self::start(cfg, fleet, tt, ids, rt, recovered)
     }
 
     fn start(
@@ -147,6 +152,7 @@ impl StreamServer {
         fleet: StorageFleet,
         tt: TrueTime,
         ids: Arc<IdGen>,
+        rt: Arc<Runtime>,
         recovered: HashMap<StreamletId, (TableId, u64)>,
     ) -> VortexResult<Arc<Self>> {
         let nshards = cfg.shards.max(1) as usize;
@@ -158,8 +164,6 @@ impl StreamServer {
             Arc<AtomicU64>,
             JoinHandle<()>,
         )> {
-            let home = fleet.get(cfg.cluster)?;
-            let log = ServerLog::open(cfg.server, idx as u32, home)?;
             let (tx, rx) = mailbox::<ShardMsg>(cfg.shard_queue_depth);
             let w = Arc::new(AtomicU64::new(0)); // lint:allow(L010, cold construction)
             let shard = Shard::new(
@@ -168,9 +172,9 @@ impl StreamServer {
                 fleet.clone(), // lint:allow(L010, cold construction)
                 tt.clone(), // lint:allow(L010, cold construction)
                 Arc::clone(&ids),
-                log,
+                Arc::clone(&rt),
                 Arc::clone(&w),
-            );
+            )?;
             // The shard loop runs on its own thread: blocking there never
             // blocks the spawner. The fn-pointer indirection marks that
             // thread boundary for the call-graph lint (whose reachability
@@ -207,6 +211,7 @@ impl StreamServer {
             last_heartbeat_at: AtomicU64::new(tt.record_timestamp().0),
             cfg,
             tt,
+            rt,
             shards: senders,
             writable_counts,
             joins,
@@ -301,7 +306,7 @@ impl StreamServer {
         match self.shard_of(streamlet).post_data(ShardMsg::Append(req)) {
             Ok(()) => {}
             Err(PostError::Full) => {
-                obs::global().counter(obs::SHARD_MAILBOX_SHED).inc();
+                self.rt.metrics().counter(obs::SHARD_MAILBOX_SHED).inc();
                 // Same retryable backpressure signal as flow control —
                 // and like it, allocation-free.
                 return Err(VortexError::Throttled {

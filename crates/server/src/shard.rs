@@ -29,6 +29,7 @@ use vortex_common::ids::{IdGen, StreamletId, TableId};
 use vortex_common::mailbox::{MailboxReceiver, Pulled, ReplySlot};
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::RowSet;
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::heartbeat::StreamletDelta;
 use vortex_sms::meta::wos_path;
@@ -118,8 +119,8 @@ pub(crate) enum ShardMsg {
 /// an ack yet (§4.2.2). A fire here fails *every* append in the group —
 /// a dead server sends no acks — and the clients' offset-based retries
 /// must dedup.
-fn group_pre_ack() -> VortexResult<()> {
-    vortex_common::crash_point!("server.append.pre_ack");
+fn group_pre_ack(rt: &Runtime) -> VortexResult<()> {
+    vortex_common::crash_point!(rt, "server.append.pre_ack");
     Ok(())
 }
 
@@ -133,6 +134,7 @@ pub(crate) struct Shard {
     fleet: StorageFleet,
     tt: TrueTime,
     ids: Arc<IdGen>,
+    rt: Arc<Runtime>,
     log: ServerLog,
     streamlets: HashMap<StreamletId, HostedStreamlet>,
     latest_schema: HashMap<TableId, u32>,
@@ -158,15 +160,18 @@ impl Shard {
         fleet: StorageFleet,
         tt: TrueTime,
         ids: Arc<IdGen>,
-        log: ServerLog,
+        rt: Arc<Runtime>,
         writable: Arc<AtomicU64>,
-    ) -> Self {
-        let m = obs::global();
+    ) -> VortexResult<Self> {
+        // A fresh log epoch on the server's home cluster, owned by this
+        // shard alone.
+        let log = ServerLog::open(cfg.server, idx, fleet.get(cfg.cluster)?, Arc::clone(&rt))?;
+        let m = rt.metrics();
         let tuning = WriteTuning {
             block_buffer_bytes: cfg.block_buffer_bytes,
             fragment_max_bytes: cfg.fragment_max_bytes,
         };
-        Shard {
+        Ok(Shard {
             m_group_appends: m.histogram(obs::GROUP_COMMIT_APPENDS),
             m_group_bytes: m.histogram(obs::GROUP_COMMIT_BYTES),
             m_groups: m.counter(obs::GROUP_COMMIT_GROUPS),
@@ -177,6 +182,7 @@ impl Shard {
             fleet,
             tt,
             ids,
+            rt,
             log,
             streamlets: HashMap::new(), // lint:allow(L010, cold construction)
             latest_schema: HashMap::new(), // lint:allow(L010, cold construction)
@@ -185,7 +191,7 @@ impl Shard {
             batch: Vec::new(),      // lint:allow(L010, cold construction)
             results: Vec::new(),    // lint:allow(L010, cold construction)
             wal_events: Vec::new(), // lint:allow(L010, cold construction)
-        }
+        })
     }
 
     /// The shard main loop: pull → greedily coalesce a group → commit →
@@ -320,7 +326,7 @@ impl Shard {
                     let _ = self.log.log_batch(home, &wal_events);
                 }
             }
-            if let Err(e) = group_pre_ack() {
+            if let Err(e) = group_pre_ack(&self.rt) {
                 crashed = Some(e);
             }
         }
@@ -366,9 +372,10 @@ impl Shard {
                 let slid = spec.streamlet;
                 let table = spec.table;
                 let first = spec.first_stream_row;
-                let res = HostedStreamlet::open(spec, &self.ids, &self.fleet, &self.tt).map(|sl| {
-                    self.streamlets.insert(slid, sl);
-                });
+                let res = HostedStreamlet::open(spec, &self.ids, &self.fleet, &self.tt, &self.rt)
+                    .map(|sl| {
+                        self.streamlets.insert(slid, sl);
+                    });
                 if res.is_ok() {
                     self.log_one(WalEvent::StreamletOpened {
                         table,
@@ -486,7 +493,7 @@ impl Shard {
         for ord in ordinals {
             // Mid-GC death: some fragments of the batch are deleted and
             // unacknowledged; the SMS re-issues the work list (§5.5).
-            vortex_common::crash_point!("server.gc.mid");
+            vortex_common::crash_point!(self.rt, "server.gc.mid");
             let path = wos_path(table, streamlet, *ord);
             let mut ok = true;
             for c in self.fleet.cluster_ids() {

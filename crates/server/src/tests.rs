@@ -9,6 +9,7 @@ use vortex_common::error::VortexError;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, StreamId, StreamletId, TableId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_sms::meta::wos_path;
@@ -45,7 +46,7 @@ fn rig_with(tweak: impl FnOnce(&mut ServerConfig)) -> Rig {
     let ids = Arc::new(IdGen::new(1));
     let mut cfg = ServerConfig::new(ServerId::from_raw(1), ClusterId::from_raw(0));
     tweak(&mut cfg);
-    let server = StreamServer::new(cfg, fleet.clone(), tt, ids).unwrap();
+    let server = StreamServer::new(cfg, fleet.clone(), tt, ids, Runtime::new()).unwrap();
     Rig {
         server,
         fleet,

@@ -13,11 +13,14 @@
 //! a fresh streamlet instead, §5.2), but it can still serve metadata,
 //! heartbeat, and GC for them.
 
+use std::sync::Arc;
+
 use vortex_colossus::Colossus;
 use vortex_common::codec::{get_uvarint, put_uvarint};
 use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ServerId, StreamletId, TableId};
+use vortex_common::runtime::Runtime;
 use vortex_common::truetime::Timestamp;
 
 /// One durable metadata event.
@@ -205,6 +208,8 @@ pub struct ServerLog {
     server: ServerId,
     shard: u32,
     epoch: u64,
+    /// The region runtime: WAL metrics and the checkpoint crash point.
+    rt: Arc<Runtime>,
     // Reused encode scratch: the group-commit hot path appends into these
     // pre-grown arenas instead of allocating per record.
     body: Vec<u8>,
@@ -214,7 +219,12 @@ pub struct ServerLog {
 impl ServerLog {
     /// Opens one shard's log, starting a fresh epoch after any existing
     /// ones.
-    pub fn open(server: ServerId, shard: u32, cluster: &Colossus) -> VortexResult<Self> {
+    pub fn open(
+        server: ServerId,
+        shard: u32,
+        cluster: &Colossus,
+        rt: Arc<Runtime>,
+    ) -> VortexResult<Self> {
         let existing = cluster.list(&shard_prefix(server, shard))?;
         let epoch = existing
             .iter()
@@ -227,6 +237,7 @@ impl ServerLog {
             server,
             shard,
             epoch,
+            rt,
             body: Vec::with_capacity(256), // lint:allow(L010, open-path arena preallocation; hot edge is a name-resolved fs `open`)
             rec: Vec::with_capacity(256), // lint:allow(L010, open-path arena preallocation; hot edge is a name-resolved fs `open`)
         })
@@ -263,7 +274,7 @@ impl ServerLog {
             Timestamp::MIN,
         )?;
         // WAL leg of the append path: one durable record per group.
-        let m = vortex_common::obs::global();
+        let m = self.rt.metrics();
         m.counter("wal.records_logged").inc();
         m.counter(vortex_common::obs::GROUP_COMMIT_WAL_EVENTS)
             .add(events.len() as u64);
@@ -287,7 +298,7 @@ impl ServerLog {
         // epoch's files un-collected; recovery prefers the newest intact
         // checkpoint, so the stale files are harmless until the next
         // successful checkpoint sweeps them.
-        vortex_common::crash_point!("server.checkpoint.mid");
+        vortex_common::crash_point!(self.rt, "server.checkpoint.mid");
         // GC older logs and checkpoints (this shard's directory only —
         // sibling shards own their files).
         for p in cluster.list(&shard_prefix(self.server, self.shard))? {
@@ -401,7 +412,7 @@ mod tests {
     fn log_and_recover_events() {
         let c = cluster();
         let srv = ServerId::from_raw(5);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         let events = vec![
             WalEvent::StreamletOpened {
                 table: TableId::from_raw(1),
@@ -429,7 +440,7 @@ mod tests {
     fn checkpoint_truncates_history() {
         let c = cluster();
         let srv = ServerId::from_raw(6);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log.log(&c, &ev(1)).unwrap();
         log.log(&c, &ev(2)).unwrap();
         log.checkpoint(&c, b"SNAPSHOT-STATE").unwrap();
@@ -446,7 +457,7 @@ mod tests {
     fn torn_wal_tail_is_ignored() {
         let c = cluster();
         let srv = ServerId::from_raw(7);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log.log(&c, &ev(1)).unwrap();
         // Simulate a torn record: append garbage.
         c.append(&wal_path(srv, 0, 0), &[9, 1, 2], Timestamp::MIN)
@@ -459,9 +470,9 @@ mod tests {
     fn reopen_starts_new_epoch() {
         let c = cluster();
         let srv = ServerId::from_raw(8);
-        let mut log1 = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log1 = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log1.log(&c, &ev(1)).unwrap();
-        let mut log2 = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log2 = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log2.log(&c, &ev(2)).unwrap();
         let (_, events) = ServerLog::recover(srv, 0, &c).unwrap();
         assert_eq!(events, vec![ev(1), ev(2)]);
@@ -471,7 +482,7 @@ mod tests {
     fn corrupt_checkpoint_falls_back_to_previous_intact_one() {
         let c = cluster();
         let srv = ServerId::from_raw(9);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log.checkpoint(&c, b"GOOD").unwrap();
         // A newer bogus checkpoint (as if the server died after a torn
         // checkpoint append) must not poison recovery.
@@ -485,7 +496,7 @@ mod tests {
     fn torn_checkpoint_tail_recovers_previous_state() {
         let c = cluster();
         let srv = ServerId::from_raw(10);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log.log(&c, &ev(1)).unwrap();
         log.checkpoint(&c, b"FIRST").unwrap();
         log.log(&c, &ev(2)).unwrap();
@@ -504,7 +515,7 @@ mod tests {
     fn all_checkpoints_torn_recovers_from_wal_alone() {
         let c = cluster();
         let srv = ServerId::from_raw(11);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log.log(&c, &ev(1)).unwrap();
         // The very first checkpoint tears: there is no older intact one,
         // so recovery behaves as if no checkpoint was ever taken.
@@ -520,7 +531,7 @@ mod tests {
     fn batch_is_one_record_and_roundtrips() {
         let c = cluster();
         let srv = ServerId::from_raw(12);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         let group = vec![ev(1), ev(2), ev(3)];
         log.log_batch(&c, &group).unwrap();
         // One record-aligned frame: a single uvarint length covers the
@@ -537,7 +548,7 @@ mod tests {
     fn torn_group_truncates_to_whole_group_prefix() {
         let c = cluster();
         let srv = ServerId::from_raw(13);
-        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         let group_a = vec![ev(1), ev(2)];
         log.log_batch(&c, &group_a).unwrap();
         // The next group's append tears mid-record: a prefix of its
@@ -555,7 +566,7 @@ mod tests {
         // recovery stops at them: epoch hygiene means a real restart
         // would open a fresh epoch. Verify the stop is at the group
         // boundary by appending on a NEW epoch (fresh open).
-        let mut log2 = ServerLog::open(srv, 0, &c).unwrap();
+        let mut log2 = ServerLog::open(srv, 0, &c, Runtime::new()).unwrap();
         log2.log_batch(&c, &[ev(6)]).unwrap();
         let (_, events) = ServerLog::recover(srv, 0, &c).unwrap();
         assert_eq!(events, vec![ev(1), ev(2), ev(6)]);
@@ -566,7 +577,7 @@ mod tests {
         let c = cluster();
         let srv = ServerId::from_raw(14);
         for shard in [0u32, 1, 3] {
-            let mut log = ServerLog::open(srv, shard, &c).unwrap();
+            let mut log = ServerLog::open(srv, shard, &c, Runtime::new()).unwrap();
             log.log(&c, &ev(u64::from(shard) + 1)).unwrap();
         }
         assert_eq!(shards_present(srv, &c).unwrap(), vec![0, 1, 3]);

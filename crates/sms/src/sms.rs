@@ -16,6 +16,7 @@ use vortex_common::ids::{
     ClusterId, FragmentId, IdGen, ServerId, SmsTaskId, StreamId, StreamletId, TableId,
 };
 use vortex_common::mask::DeletionMask;
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
@@ -103,6 +104,7 @@ pub struct SmsTask {
     fleet: StorageFleet,
     tt: TrueTime,
     ids: Arc<IdGen>,
+    rt: Arc<Runtime>,
     servers: RwLock<HashMap<ServerId, ServerHandle>>,
     bigmeta: Arc<BigMeta>,
     view: Option<SlicerView>,
@@ -111,13 +113,14 @@ pub struct SmsTask {
 impl SmsTask {
     /// Creates a task over shared infrastructure. `view` is the task's
     /// Slicer assignment view; `None` means "owns everything" (single-task
-    /// deployments and tests).
+    /// deployments and tests). Metrics and crash points go through `rt`.
     pub fn new(
         cfg: SmsConfig,
         store: Arc<MetaStore>,
         fleet: StorageFleet,
         tt: TrueTime,
         ids: Arc<IdGen>,
+        rt: Arc<Runtime>,
         view: Option<SlicerView>,
     ) -> Arc<Self> {
         Arc::new(Self {
@@ -126,6 +129,7 @@ impl SmsTask {
             fleet,
             tt,
             ids,
+            rt,
             servers: RwLock::new(HashMap::new()),
             bigmeta: Arc::new(BigMeta::new()),
             view,
@@ -428,7 +432,7 @@ impl SmsTask {
             // the orphan that reconcile_streamlet's Phase 1 poisons
             // (§5.2). Fires between txn commit and side effect, and
             // bypasses the retry loop below.
-            vortex_common::crash_point!("sms.open_streamlet.post_txn");
+            vortex_common::crash_point!(self.rt, "sms.open_streamlet.post_txn");
             match server.create_streamlet(spec) {
                 Ok(()) => {
                     return Ok(StreamHandle {
@@ -815,9 +819,7 @@ impl SmsTask {
         table: TableId,
         snapshot: Timestamp,
     ) -> VortexResult<ReadSet> {
-        vortex_common::obs::global()
-            .counter("sms.list_read_fragments")
-            .inc();
+        self.rt.metrics().counter("sms.list_read_fragments").inc();
         let tbytes = self
             .store
             .read_at(&table_key(table), snapshot)
@@ -969,9 +971,7 @@ impl SmsTask {
         table: TableId,
         streamlet: StreamletId,
     ) -> VortexResult<StreamletMeta> {
-        vortex_common::obs::global()
-            .counter("sms.reconcile_streamlet")
-            .inc();
+        self.rt.metrics().counter("sms.reconcile_streamlet").inc();
         let tmeta = self.get_table(table)?;
         let key = tmeta.encryption_key();
         // Phase 1: close + bump epoch so the outcome is sticky even if

@@ -14,6 +14,7 @@ use vortex_common::ids::{ClusterId, FragmentId, IdGen, ServerId, StreamletId, Ta
 use vortex_common::latency::WriteProfile;
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::runtime::Runtime;
 use vortex_common::schema::{sales_schema, Field, FieldType, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
@@ -131,6 +132,7 @@ fn rig_with_servers(n: usize) -> Rig {
         fleet.clone(),
         tt.clone(),
         ids,
+        Runtime::new(),
         None,
     );
     let mut servers = vec![];
@@ -1021,6 +1023,7 @@ fn double_ownership_stays_correct_via_txns() {
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Runtime::new(),
             None,
         )
     };

@@ -265,6 +265,7 @@ mod tests {
     use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId};
     use vortex_common::latency::WriteProfile;
     use vortex_common::row::Value;
+    use vortex_common::runtime::Runtime;
     use vortex_common::schema::{Field, FieldType, Schema};
     use vortex_common::truetime::{SimClock, TrueTime};
     use vortex_metastore::MetaStore;
@@ -278,7 +279,6 @@ mod tests {
         clock: SimClock,
         ids: Arc<IdGen>,
         fleet: StorageFleet,
-        tt: TrueTime,
     }
 
     fn rig() -> Rig {
@@ -287,12 +287,14 @@ mod tests {
         let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 41);
         let store = MetaStore::new(tt.clone());
         let ids = Arc::new(IdGen::new(1));
+        let rt = Runtime::new();
         let sms = SmsTask::new(
             SmsConfig::new(SmsTaskId::from_raw(0), ClusterId::from_raw(0)),
             store,
             fleet.clone(),
             tt.clone(),
             Arc::clone(&ids),
+            Arc::clone(&rt),
             None,
         );
         for i in 0..2u64 {
@@ -301,12 +303,13 @@ mod tests {
                 fleet.clone(),
                 tt.clone(),
                 Arc::clone(&ids),
+                Arc::clone(&rt),
             )
             .unwrap();
             sms.register_server(server);
         }
         let sms: SmsHandle = sms;
-        let client = VortexClient::new(sms.clone(), fleet.clone(), tt.clone());
+        let client = VortexClient::new(sms.clone(), fleet.clone(), tt, Arc::clone(&rt));
         let verifier = Verifier::new(sms.clone(), fleet.clone());
         Rig {
             client,
@@ -315,7 +318,6 @@ mod tests {
             clock,
             ids,
             fleet,
-            tt,
         }
     }
 
@@ -404,8 +406,8 @@ mod tests {
         let opt = vortex_optimizer::StorageOptimizer::new(
             Arc::clone(&r.sms),
             r.fleet.clone(),
-            r.tt.clone(),
             Arc::clone(&r.ids),
+            Arc::clone(r.client.runtime()),
             vortex_optimizer::OptimizerConfig::default(),
         );
         opt.convert_wos(t.table).unwrap();

@@ -155,9 +155,6 @@ impl FragmentWriter {
         };
         self.next_row += rows.len() as u64;
         self.rows_in_fragment += rows.len() as u64;
-        let m = vortex_common::obs::global();
-        m.counter("wos.blocks_encoded").inc();
-        m.counter("wos.rows_encoded").add(rows.len() as u64);
         Ok(self.frame(rec, &payload))
     }
 

@@ -20,7 +20,6 @@ use vortex::{
     DaemonConfig, FragmentKind, FragmentState, Region, RegionConfig, RegionDaemon, ScanOptions,
     StreamletState,
 };
-use vortex_common::crashpoints;
 
 fn main() -> vortex::VortexResult<()> {
     let region = Arc::new(Region::create(RegionConfig {
@@ -163,7 +162,7 @@ fn main() -> vortex::VortexResult<()> {
     // unified snapshot below shows the framework's counter moving. The
     // aborted checkpoint leaves durable state untouched.
     {
-        let _cp = crashpoints::arm_nth("server.checkpoint.mid", 1);
+        let _cp = region.crash_points().arm_nth("server.checkpoint.mid", 1);
         match region.servers()[0].checkpoint() {
             Err(vortex::VortexError::SimulatedCrash(_)) => {}
             other => panic!("armed checkpoint crash point did not fire: {other:?}"),
@@ -171,9 +170,9 @@ fn main() -> vortex::VortexResult<()> {
     }
 
     // The unified observability snapshot (/varz): registry counters and
-    // histograms, per-method RPC percentiles, cache hit rates, crash
-    // point fires, and the §8 commit-to-visible freshness histogram fed
-    // by the dashboard's own scans.
+    // histograms, per-method RPC counters and latency histograms, cache
+    // hit rates, crash point fires, and the §8 commit-to-visible
+    // freshness histogram fed by the dashboard's own scans.
     let snap = region.metrics_snapshot();
     println!();
     println!("{}", snap.to_table());
@@ -187,7 +186,8 @@ fn main() -> vortex::VortexResult<()> {
         "freshness.commit_to_visible_us",
         "scan.cache.",
         "append.client.calls",
-        "rpc",
+        "rpc.server.append.calls",
+        "rpc.server.append.latency_us",
         "crash_point_fires",
     ] {
         assert!(rendered.contains(needle), "snapshot missing {needle}");

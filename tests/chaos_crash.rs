@@ -10,20 +10,21 @@
 //! Determinism: the whole fault schedule derives from one seed, printed
 //! at startup and echoed in every assertion. Reproduce a failure with
 //! `VORTEX_CHAOS_SEED=<seed> cargo test --test chaos_crash`.
+//!
+//! Each soak owns its region — metrics, freshness probe and crash-point
+//! plan included — so the two soaks run concurrently without seeing each
+//! other's traffic. Winding down is ordered (see [`Shutdown`]) and
+//! bounded: a soak that does not drain within [`JOIN_DEADLINE`] prints
+//! its seed, phase and metrics, then aborts instead of hanging.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
-use vortex::{Region, RegionConfig, ScanOptions, VortexError};
-use vortex_common::{crashpoints, obs};
-
-/// Crash points and the metrics registry are process-global; the two
-/// soaks in this binary must not overlap. Each test holds this for its
-/// whole body.
-static SOAK_LOCK: Mutex<()> = Mutex::new(());
+use vortex::{obs, Region, RegionConfig, ScanOptions, VortexError};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -52,6 +53,95 @@ fn chaos_seed() -> u64 {
         .unwrap_or(0xC8A5_0C8A)
 }
 
+/// How long a soak may take to wind down after `stop` before it is
+/// declared livelocked.
+const JOIN_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Ordered shutdown shared by a soak's threads.
+///
+/// Load threads (writers, the reader, background loops) exit once `stop`
+/// is set. The supervisor keeps reviving dead processes — but stops
+/// killing them — until every load thread has exited: a writer retries
+/// its batch until it is acked (the exact ledger depends on that), and
+/// background calls can still fire crash points, so a process left dead
+/// would starve the remaining load forever.
+#[derive(Default)]
+struct Shutdown {
+    stop: AtomicBool,
+    load_threads: AtomicUsize,
+    all_threads: AtomicUsize,
+}
+
+/// Unregisters a soak thread when it exits (panics included).
+struct Registered<'a> {
+    shutdown: &'a Shutdown,
+    load: bool,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        if self.load {
+            self.shutdown.load_threads.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.shutdown.all_threads.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Shutdown {
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// True once `stop` is set and every load thread has exited.
+    fn load_drained(&self) -> bool {
+        self.stopping() && self.load_threads.load(Ordering::SeqCst) == 0
+    }
+
+    /// Registers a thread before it is spawned; move the guard into it.
+    fn register(&self, load: bool) -> Registered<'_> {
+        if load {
+            self.load_threads.fetch_add(1, Ordering::SeqCst);
+        }
+        self.all_threads.fetch_add(1, Ordering::SeqCst);
+        Registered {
+            shutdown: self,
+            load,
+        }
+    }
+
+    /// Stops the load, then waits for the load threads and finally the
+    /// supervisor to exit. Past [`JOIN_DEADLINE`] it prints the seed,
+    /// the phase and the region's metrics, then aborts the process.
+    fn wind_down(&self, region: &Region, soak: &str, seed: u64) {
+        self.stop.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + JOIN_DEADLINE;
+        for (phase, counter) in [
+            ("load threads exiting", &self.load_threads),
+            ("supervisor exiting", &self.all_threads),
+        ] {
+            while counter.load(Ordering::SeqCst) > 0 {
+                if Instant::now() > deadline {
+                    // Straight to the process's stderr: the test
+                    // harness's captured output dies with the abort.
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "{soak}: livelock — still {phase} {JOIN_DEADLINE:?} after stop \
+                         (seed {seed}); metrics:\n{}",
+                        region.metrics_snapshot().to_table()
+                    );
+                    std::process::abort();
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+}
+
+/// Absolute counter value from a region snapshot (0 when never touched).
+fn counter(snap: &obs::MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
 /// Plain (non-atomic) xorshift* step for the supervisor's local RNG.
 fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state | 1;
@@ -64,7 +154,6 @@ fn next_rand(state: &mut u64) -> u64 {
 
 #[test]
 fn chaos_kill_restart_exact_ledger() {
-    let _soak = SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let seed = chaos_seed();
     eprintln!("chaos_crash seed = {seed} (override with VORTEX_CHAOS_SEED)");
 
@@ -123,24 +212,26 @@ fn chaos_kill_restart_exact_ledger() {
     // making progress between deaths while rarer control-plane paths
     // (checkpoint, GC, streamlet open, optimizer commits) still die a
     // handful of times over the run.
+    let points = region.crash_points();
     let guards = [
-        crashpoints::arm_permille("server.replica.mid_write", 2, seed ^ 0x01),
-        crashpoints::arm_permille("server.append.pre_ack", 2, seed ^ 0x02),
-        crashpoints::arm_permille("server.checkpoint.mid", 300, seed ^ 0x03),
-        crashpoints::arm_permille("server.gc.mid", 100, seed ^ 0x04),
-        crashpoints::arm_permille("sms.open_streamlet.post_txn", 60, seed ^ 0x05),
-        crashpoints::arm_permille("optimizer.convert.pre_commit", 80, seed ^ 0x06),
-        crashpoints::arm_permille("optimizer.recluster.pre_commit", 80, seed ^ 0x07),
+        points.arm_permille("server.replica.mid_write", 2, seed ^ 0x01),
+        points.arm_permille("server.append.pre_ack", 2, seed ^ 0x02),
+        points.arm_permille("server.checkpoint.mid", 300, seed ^ 0x03),
+        points.arm_permille("server.gc.mid", 100, seed ^ 0x04),
+        points.arm_permille("sms.open_streamlet.post_txn", 60, seed ^ 0x05),
+        points.arm_permille("optimizer.convert.pre_commit", 80, seed ^ 0x06),
+        points.arm_permille("optimizer.recluster.pre_commit", 80, seed ^ 0x07),
         // Metastore durability points: a mid-append WAL death on any
         // metadata commit (the commit is never acked — the SMS channel
         // converts it into a task death), plus both checkpoint deaths
         // (torn unpublished candidate; durable-but-unpublished file).
-        crashpoints::arm_permille("meta.wal.mid_append", 8, seed ^ 0x08),
-        crashpoints::arm_permille("meta.checkpoint.mid_write", 300, seed ^ 0x09),
-        crashpoints::arm_permille("meta.checkpoint.pre_publish", 300, seed ^ 0x0A),
+        points.arm_permille("meta.wal.mid_append", 8, seed ^ 0x08),
+        points.arm_permille("meta.checkpoint.mid_write", 300, seed ^ 0x09),
+        points.arm_permille("meta.checkpoint.pre_publish", 300, seed ^ 0x0A),
     ];
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let shutdown = Shutdown::default();
+    let sd = &shutdown;
     // Per-writer published watermark: keys < watermark are acked.
     let watermarks: Arc<Vec<AtomicI64>> =
         Arc::new((0..WRITERS).map(|_| AtomicI64::new(0)).collect());
@@ -158,12 +249,13 @@ fn chaos_kill_restart_exact_ledger() {
         // batch that landed durably before its server died pre-ack.
         for w in 0..WRITERS {
             let client = region.client();
-            let stop = Arc::clone(&stop);
             let watermarks = Arc::clone(&watermarks);
+            let registered = sd.register(true);
             s.spawn(move || {
-                let mut writer = client.create_unbuffered_writer(table).unwrap();
+                let _registered = registered;
+                let mut writer = open_writer(&client, table, w, seed);
                 let mut next = 0i64;
-                while !stop.load(Ordering::Relaxed) {
+                while !sd.stopping() {
                     let batch = RowSet::new(
                         (0..50)
                             .map(|i| {
@@ -194,19 +286,23 @@ fn chaos_kill_restart_exact_ledger() {
         }
         // Supervisor: revives whatever a crash point killed, murders a
         // random victim on a seeded schedule, and periodically forces a
-        // WAL checkpoint (which can itself die mid-checkpoint).
+        // WAL checkpoint (which can itself die mid-checkpoint). Once
+        // `stop` is set it only revives, until the load has drained.
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
             let cycles = Arc::clone(&cycles);
             let meta_ckpts = Arc::clone(&meta_ckpts);
             let meta_drills = Arc::clone(&meta_drills);
+            let registered = sd.register(false);
             s.spawn(move || {
+                let _registered = registered;
                 let mut rng = seed ^ 0x50BE_12F1_5012; // supervisor lane
                 let n_servers = region.server_channels().len();
                 let mut tick = 0usize;
                 loop {
-                    let done = stop.load(Ordering::Relaxed);
+                    // Read before the revive pass: once no load thread
+                    // is left, nothing but this pass can need a revive.
+                    let drained = sd.load_drained();
                     // Revive phase: every dead process restarts from
                     // durable state only, then a full-state heartbeat
                     // round reconciles promptly.
@@ -246,8 +342,13 @@ fn chaos_kill_restart_exact_ledger() {
                     if revived {
                         let _ = region.run_heartbeats(true);
                     }
-                    if done {
-                        break; // exits with every process alive
+                    if drained {
+                        break;
+                    }
+                    if sd.stopping() {
+                        // Winding down: keep reviving, stop killing.
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
                     }
                     // Murder phase: a seeded victim every third tick.
                     if tick % 3 == 0 {
@@ -302,9 +403,10 @@ fn chaos_kill_restart_exact_ledger() {
         // optimizer aborts that pass; the next cycle redoes the work).
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
+            let registered = sd.register(true);
             s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                let _registered = registered;
+                while !sd.stopping() {
                     let _ = region.run_heartbeats(false);
                     let _ = region.run_optimizer_cycle(table);
                     region.advance_micros(10_000_000);
@@ -314,24 +416,28 @@ fn chaos_kill_restart_exact_ledger() {
             });
         }
         // Reader: scans must keep working across deaths (reads go to
-        // Colossus replicas, not the dead server's memory).
+        // Colossus replicas, not the dead server's memory). A dead SMS
+        // fails every scan until it is revived, so the retry loop backs
+        // off and gives up at `stop`.
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
+            let registered = sd.register(true);
             s.spawn(move || {
+                let _registered = registered;
                 let engine = region.engine();
                 let client = region.client();
-                while !stop.load(Ordering::Relaxed) {
-                    let n = loop {
-                        match engine.count(table, client.snapshot(), &ScanOptions::default()) {
-                            Ok(n) => break n,
-                            Err(vortex::VortexError::NotFound(_)) => continue,
-                            Err(e) if e.is_retryable() => continue,
-                            Err(e) => panic!("reader failed (seed {seed}): {e}"),
+                while !sd.stopping() {
+                    match engine.count(table, client.snapshot(), &ScanOptions::default()) {
+                        Ok(n) => {
+                            assert!(n < 10_000_000, "absurd row count {n} (seed {seed})");
+                            std::thread::sleep(Duration::from_millis(3));
                         }
-                    };
-                    assert!(n < 10_000_000, "absurd row count {n} (seed {seed})");
-                    std::thread::sleep(Duration::from_millis(3));
+                        Err(VortexError::NotFound(_)) => {}
+                        Err(e) if e.is_retryable() => {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(e) => panic!("reader failed (seed {seed}): {e}"),
+                    }
                 }
             });
         }
@@ -340,11 +446,12 @@ fn chaos_kill_restart_exact_ledger() {
         // checkpoints all see corrupted tails.
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
+            let registered = sd.register(true);
             s.spawn(move || {
+                let _registered = registered;
                 let ids = region.fleet().cluster_ids();
                 let mut i = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                while !sd.stopping() {
                     let c = ids[i % ids.len()];
                     region.fleet().get(c).unwrap().faults().torn_next_appends(2);
                     if i % 3 == 2 {
@@ -367,32 +474,28 @@ fn chaos_kill_restart_exact_ledger() {
             });
         }
 
-        // Run until the clock AND the cycle floor are both satisfied.
+        // Run until the clock AND the cycle floor are both satisfied
+        // (or 60s pass: the cycle assertion below then fails). Winding
+        // down never panics here, so the scope always gets to join.
         let start = Instant::now();
-        while start.elapsed() < RUN_FOR || cycles.load(Ordering::SeqCst) < MIN_CYCLES {
+        while (start.elapsed() < RUN_FOR || cycles.load(Ordering::SeqCst) < MIN_CYCLES)
+            && start.elapsed() < Duration::from_secs(60)
+        {
             std::thread::sleep(Duration::from_millis(50));
-            assert!(
-                start.elapsed() < Duration::from_secs(60),
-                "soak stalled: only {} kill/restart cycles after 60s (seed {seed})",
-                cycles.load(Ordering::SeqCst)
-            );
         }
-        stop.store(true, Ordering::Relaxed);
+        sd.wind_down(&region, "chaos_crash", seed);
     });
 
-    // The fault axes actually fired.
+    // The fault axes actually fired (this region's crash points only).
     let completed = cycles.load(Ordering::SeqCst);
     assert!(
         completed >= MIN_CYCLES,
-        "only {completed} kill/restart cycles completed (seed {seed})"
+        "soak stalled: only {completed} kill/restart cycles completed (seed {seed})"
     );
-    assert!(
-        crashpoints::total_fires() > 0,
-        "no crash point ever fired (seed {seed})"
-    );
+    let fires = region.metrics_snapshot().crash_point_fires;
+    assert!(fires > 0, "no crash point ever fired (seed {seed})");
     eprintln!(
-        "chaos_crash: {completed} kill/restart cycles, {} crash-point fires (seed {seed})",
-        crashpoints::total_fires()
+        "chaos_crash: {completed} kill/restart cycles, {fires} crash-point fires (seed {seed})"
     );
     // The metastore axes actually exercised durability: checkpoints
     // published through the churn, and SMS revives drilled recovery.
@@ -599,7 +702,6 @@ fn chaos_kill_restart_exact_ledger() {
 ///   appends, and group commit batched them.
 #[test]
 fn chaos_shard_routing_many_streamlets() {
-    let _soak = SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let seed = chaos_seed() ^ 0x5AAD; // distinct schedule from the kill soak
     eprintln!("chaos_shard_routing seed = {seed} (override with VORTEX_CHAOS_SEED)");
 
@@ -633,21 +735,16 @@ fn chaos_shard_routing_many_streamlets() {
     // Group-granularity crash axis: pre-ack deaths discard or orphan a
     // whole group commit; restart + WAL replay must agree with the acks.
     let _guards = [
-        crashpoints::arm_permille("server.replica.mid_write", 2, seed ^ 0x11),
-        crashpoints::arm_permille("server.append.pre_ack", 2, seed ^ 0x12),
+        region
+            .crash_points()
+            .arm_permille("server.replica.mid_write", 2, seed ^ 0x11),
+        region
+            .crash_points()
+            .arm_permille("server.append.pre_ack", 2, seed ^ 0x12),
     ];
 
-    // Shard-balance baseline: counters are process-global, so judge this
-    // soak by deltas. The default config runs 4 shards per server; read
-    // a few extra slots in case the default grows.
-    let shard_counters: Vec<_> = (0..8)
-        .map(|i| obs::global().counter(&format!("{}{i:02}.appends", obs::SHARD_APPENDS_PREFIX)))
-        .collect();
-    let shard_before: Vec<u64> = shard_counters.iter().map(|c| c.get()).collect();
-    let groups_counter = obs::global().counter(obs::GROUP_COMMIT_GROUPS);
-    let groups_before = groups_counter.get();
-
-    let stop = Arc::new(AtomicBool::new(false));
+    let shutdown = Shutdown::default();
+    let sd = &shutdown;
     let watermarks: Arc<Vec<AtomicI64>> =
         Arc::new((0..ROUTE_WRITERS).map(|_| AtomicI64::new(0)).collect());
     let cycles = Arc::new(AtomicUsize::new(0));
@@ -657,13 +754,14 @@ fn chaos_shard_routing_many_streamlets() {
         // a shard interleave appends from several streamlets.
         for w in 0..ROUTE_WRITERS {
             let client = region.client();
-            let stop = Arc::clone(&stop);
             let watermarks = Arc::clone(&watermarks);
+            let registered = sd.register(true);
             s.spawn(move || {
-                let mut writer = client.create_unbuffered_writer(table).unwrap();
+                let _registered = registered;
+                let mut writer = open_writer(&client, table, w, seed);
                 let batch_rows = 3 + (w as i64 % 5) * 4; // 3..=19 rows
                 let mut next = 0i64;
-                while !stop.load(Ordering::Relaxed) {
+                while !sd.stopping() {
                     let batch = RowSet::new(
                         (0..batch_rows)
                             .map(|i| {
@@ -692,17 +790,19 @@ fn chaos_shard_routing_many_streamlets() {
         }
         // Supervisor: revive crash-point victims, murder a seeded server
         // on a schedule. (Server kills only — the SMS stays up so the
-        // soak concentrates churn on the shard data plane.)
+        // soak concentrates churn on the shard data plane.) Same ordered
+        // wind-down as the kill soak: revive-only until the load drains.
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
             let cycles = Arc::clone(&cycles);
+            let registered = sd.register(false);
             s.spawn(move || {
+                let _registered = registered;
                 let mut rng = seed ^ 0x0B07_7E50; // routing supervisor lane
                 let n_servers = region.server_channels().len();
                 let mut tick = 0usize;
                 loop {
-                    let done = stop.load(Ordering::Relaxed);
+                    let drained = sd.load_drained();
                     let mut revived = false;
                     for idx in 0..n_servers {
                         if region.server_channels()[idx].is_dead() {
@@ -714,8 +814,12 @@ fn chaos_shard_routing_many_streamlets() {
                     if revived {
                         let _ = region.run_heartbeats(true);
                     }
-                    if done {
+                    if drained {
                         break;
+                    }
+                    if sd.stopping() {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
                     }
                     if tick % 3 == 0 {
                         let r = next_rand(&mut rng);
@@ -729,9 +833,10 @@ fn chaos_shard_routing_many_streamlets() {
         // Heartbeats keep seals/rotations reconciled while writers run.
         {
             let region = Arc::clone(&region);
-            let stop = Arc::clone(&stop);
+            let registered = sd.register(true);
             s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                let _registered = registered;
+                while !sd.stopping() {
                     let _ = region.run_heartbeats(false);
                     region.advance_micros(1_000_000);
                     std::thread::sleep(Duration::from_millis(7));
@@ -740,21 +845,18 @@ fn chaos_shard_routing_many_streamlets() {
         }
 
         let start = Instant::now();
-        while start.elapsed() < ROUTE_RUN_FOR || cycles.load(Ordering::SeqCst) < ROUTE_MIN_CYCLES {
+        while (start.elapsed() < ROUTE_RUN_FOR || cycles.load(Ordering::SeqCst) < ROUTE_MIN_CYCLES)
+            && start.elapsed() < Duration::from_secs(60)
+        {
             std::thread::sleep(Duration::from_millis(50));
-            assert!(
-                start.elapsed() < Duration::from_secs(60),
-                "routing soak stalled: only {} kill/restart cycles after 60s (seed {seed})",
-                cycles.load(Ordering::SeqCst)
-            );
         }
-        stop.store(true, Ordering::Relaxed);
+        sd.wind_down(&region, "chaos_shard_routing", seed);
     });
 
     let completed = cycles.load(Ordering::SeqCst);
     assert!(
         completed >= ROUTE_MIN_CYCLES,
-        "only {completed} kill/restart cycles completed (seed {seed})"
+        "routing soak stalled: only {completed} kill/restart cycles completed (seed {seed})"
     );
 
     // Settle, then judge.
@@ -832,18 +934,25 @@ fn chaos_shard_routing_many_streamlets() {
     }
 
     // ---- Routing spread + group commit ----
-    let spread: Vec<u64> = shard_counters
-        .iter()
-        .zip(&shard_before)
-        .map(|(c, b)| c.get().saturating_sub(*b))
+    // Absolute counters of this soak's own region. The default config
+    // runs 4 shards per server; read a few extra slots in case the
+    // default grows.
+    let snap = region.metrics_snapshot();
+    let spread: Vec<u64> = (0..8)
+        .map(|i| {
+            counter(
+                &snap,
+                &format!("{}{i:02}.appends", obs::SHARD_APPENDS_PREFIX),
+            )
+        })
         .collect();
     let busy = spread.iter().filter(|&&d| d > 0).count();
-    eprintln!("chaos_shard_routing shard append deltas: {spread:?} (seed {seed})");
+    eprintln!("chaos_shard_routing shard appends: {spread:?} (seed {seed})");
     assert!(
         busy >= 2,
         "appends landed on only {busy} shard(s): {spread:?} (seed {seed})"
     );
-    let groups = groups_counter.get() - groups_before;
+    let groups = counter(&snap, obs::GROUP_COMMIT_GROUPS);
     let appends_total: u64 = spread.iter().sum();
     assert!(groups > 0, "no group commits recorded (seed {seed})");
     assert!(
@@ -854,6 +963,24 @@ fn chaos_shard_routing_many_streamlets() {
         "chaos_shard_routing: {completed} cycles, {} streams, {groups} groups, {appends_total} shard appends (seed {seed})",
         by_stream.len()
     );
+}
+
+/// Opens writer `w`'s stream. The supervisor may have killed the SMS
+/// before the writer started; like an append, the open is retried until
+/// the supervisor revives it.
+fn open_writer(
+    client: &vortex::VortexClient,
+    table: vortex::ids::TableId,
+    w: usize,
+    seed: u64,
+) -> vortex::StreamWriter {
+    loop {
+        match client.create_unbuffered_writer(table) {
+            Ok(writer) => return writer,
+            Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_millis(1)),
+            Err(e) => panic!("writer {w} could not open its stream (seed {seed}): {e}"),
+        }
+    }
 }
 
 /// Restarts server `idx`, retrying transient recovery failures (a torn

@@ -304,17 +304,23 @@ fn chaos_mixed_stream_types_exact_ledger() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    // The RPC fault axis actually fired on both hops.
-    for rpc in [region.sms_rpc(), region.server_rpc()] {
-        let snap = rpc.metrics().snapshot();
+    // The RPC fault axis actually fired on both hops: sum the
+    // `rpc.<channel>.<method>.injected_*` counters of the region.
+    let snap = region.metrics_snapshot();
+    for channel in [region.sms_rpc().name(), region.server_rpc().name()] {
+        let prefix = format!("rpc.{channel}.");
         let injected: u64 = snap
-            .values()
-            .map(|m| m.injected_unavailable + m.injected_reply_lost)
+            .counters
+            .iter()
+            .filter(|(k, _)| {
+                k.starts_with(&prefix)
+                    && (k.ends_with(".injected_unavailable") || k.ends_with(".injected_reply_lost"))
+            })
+            .map(|(_, v)| v)
             .sum();
         assert!(
             injected > 0,
-            "channel {} saw no injected RPC faults (seed {seed})",
-            rpc.name()
+            "channel {channel} saw no injected RPC faults (seed {seed})"
         );
     }
 

@@ -213,11 +213,13 @@ fn sms_double_ownership_interleaved_operations() {
         std::sync::Arc::clone(&region.sms_tasks()[0]),
         region.fleet().clone(),
         region.truetime().clone(),
+        std::sync::Arc::clone(bootstrap.runtime()),
     );
     let client_b = vortex::VortexClient::new(
         std::sync::Arc::clone(&region.sms_tasks()[1]),
         region.fleet().clone(),
         region.truetime().clone(),
+        std::sync::Arc::clone(bootstrap.runtime()),
     );
     // Tasks use SlicerViews; make both claim the table.
     region.slicer().reassign(t, region.sms_tasks()[0].task_id());

@@ -5,17 +5,9 @@
 //! `vortex-metastore`'s unit tests; these tests exercise the same
 //! machinery through the full region stack.
 
-use std::sync::Mutex;
-
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex::{Region, RegionConfig, VortexError};
-use vortex_common::crashpoints;
-
-/// Crash points are process-global; tests that arm them (or commit
-/// through a durable store while another test might have them armed)
-/// must not overlap.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -60,7 +52,6 @@ fn ingest(region: &Region, table: vortex::ids::TableId, start: i64, n: usize) {
 /// the regression the in-place-overwrite design would fail.
 #[test]
 fn checkpoint_mid_write_crash_keeps_previous_checkpoint() {
-    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let region = region();
     let client = region.client();
     let t = client.create_table("mid_write", schema()).unwrap().table;
@@ -68,7 +59,9 @@ fn checkpoint_mid_write_crash_keeps_previous_checkpoint() {
     let v1 = region.checkpoint_metadata().unwrap().version;
 
     ingest(&region, t, 300, 100);
-    let guard = crashpoints::arm_nth("meta.checkpoint.mid_write", 1);
+    let guard = region
+        .crash_points()
+        .arm_nth("meta.checkpoint.mid_write", 1);
     let err = region.checkpoint_metadata().unwrap_err();
     assert!(
         matches!(err, VortexError::SimulatedCrash(_)),
@@ -103,7 +96,6 @@ fn checkpoint_mid_write_crash_keeps_previous_checkpoint() {
 /// lands on the previous published checkpoint.
 #[test]
 fn checkpoint_pre_publish_crash_keeps_previous_checkpoint() {
-    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let region = region();
     let client = region.client();
     let t = client.create_table("pre_publish", schema()).unwrap().table;
@@ -111,7 +103,9 @@ fn checkpoint_pre_publish_crash_keeps_previous_checkpoint() {
     let v1 = region.checkpoint_metadata().unwrap().version;
 
     ingest(&region, t, 200, 100);
-    let guard = crashpoints::arm_nth("meta.checkpoint.pre_publish", 1);
+    let guard = region
+        .crash_points()
+        .arm_nth("meta.checkpoint.pre_publish", 1);
     let err = region.checkpoint_metadata().unwrap_err();
     assert!(matches!(err, VortexError::SimulatedCrash(_)));
     drop(guard);
@@ -137,7 +131,6 @@ fn checkpoint_pre_publish_crash_keeps_previous_checkpoint() {
 /// agrees with the live one exactly.
 #[test]
 fn gcd_fragments_do_not_resurrect_after_recovery() {
-    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let region = region();
     let client = region.client();
     let t = client.create_table("gc_resurrect", schema()).unwrap().table;
@@ -198,7 +191,6 @@ fn gcd_fragments_do_not_resurrect_after_recovery() {
 /// revived task sees, with replay bounded by the WAL tail.
 #[test]
 fn sms_restart_serves_recovered_metadata() {
-    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let region = region();
     let client = region.client();
     let t = client.create_table("sms_restart", schema()).unwrap().table;
@@ -228,7 +220,6 @@ fn sms_restart_serves_recovered_metadata() {
 /// no manual `checkpoint_metadata` calls anywhere.
 #[test]
 fn daemon_checkpoint_loop_publishes() {
-    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let region = std::sync::Arc::new(region());
     let client = region.client();
     let t = client.create_table("daemon_ckpt", schema()).unwrap().table;
